@@ -24,13 +24,14 @@
 //! `read`/`write` on a worker connection). Worker connections live in
 //! per-request [`WorkerLink`]s, never shared across threads.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use ihtl_apps::{run_job, SpmvEngine};
+use ihtl_serve::line::{error_reply, ok_reply, render_line, serve_lines, Closed, MAX_LINE_BYTES};
 use ihtl_serve::proto::{EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob};
 use ihtl_serve::{fnv1a_checksum, Json};
 
@@ -44,7 +45,8 @@ pub struct RouterConfig {
     /// Connect/read/write timeout for every worker RPC. A worker that dies
     /// mid-job surfaces as a clean `error` reply within this bound.
     pub worker_timeout: Duration,
-    /// Maximum request line length accepted from clients.
+    /// Client request lines of this many bytes or more, newline excluded,
+    /// are rejected and the connection closed.
     pub max_line_bytes: usize,
     /// Idle client connections are closed after this long.
     pub idle_timeout: Option<Duration>,
@@ -56,7 +58,7 @@ impl Default for RouterConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: Vec::new(),
             worker_timeout: Duration::from_secs(30),
-            max_line_bytes: 64 << 20,
+            max_line_bytes: MAX_LINE_BYTES,
             idle_timeout: Some(Duration::from_secs(30)),
         }
     }
@@ -86,6 +88,9 @@ pub struct PlacementEntry {
     pub out_degrees: Arc<Vec<u32>>,
     /// Slowest worker's load time (the fan-out runs in parallel).
     pub load_seconds: f64,
+    /// Smallest `max_line_bytes` the workers reported: a `sweep` line
+    /// longer than this, newline included, is refused before fan-out.
+    pub max_line_bytes: usize,
 }
 
 /// Router-wide counters (`stats` op).
@@ -147,8 +152,6 @@ impl WorkerLink {
     ) -> Result<String, std::io::Error> {
         let (writer, reader) = conn;
         writer.write_all(line.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
         let mut reply = String::new();
         let n = reader.read_line(&mut reply)?;
         if n == 0 {
@@ -157,7 +160,8 @@ impl WorkerLink {
         Ok(reply)
     }
 
-    /// Sends one pre-rendered request line and returns the parsed reply.
+    /// Sends one request line rendered by [`render_line`] (newline
+    /// included, so it leaves in one write) and returns the parsed reply.
     /// One retry on a fresh connection: a worker restart between jobs (or
     /// an idle-timeout disconnect) looks like a dead cached socket, and
     /// every op the router sends is safe to repeat.
@@ -212,6 +216,8 @@ struct RouterEngine {
     dataset: String,
     engine_wire: &'static str,
     view: GraphView,
+    /// Longest `sweep` line every worker accepts, newline included.
+    max_line_bytes: usize,
     failed: Option<String>,
     sweeps: u64,
 }
@@ -226,18 +232,28 @@ impl RouterEngine {
         if self.failed.is_some() {
             return;
         }
-        self.sweeps += 1;
         // Every worker receives the identical request (same dataset name,
         // same full-length vector), so render the line once.
-        let line = Json::obj([
+        let line = render_line(&Json::obj([
             ("op", Json::from("sweep")),
             ("dataset", Json::from(self.dataset.clone())),
             ("engine", Json::from(self.engine_wire)),
             ("monoid", Json::from(monoid.wire_name())),
             ("view", Json::from(self.view.wire_name())),
             ("xbits", Json::Arr(x.iter().map(|v| Json::from(v.to_bits())).collect())),
-        ])
-        .to_string();
+        ]));
+        // A worker cuts an over-long line off and closes the socket, which
+        // reaches the router as a reset; refuse it here with the sizes.
+        if line.len() > self.max_line_bytes {
+            self.failed = Some(format!(
+                "sweep request line is {} bytes with its newline, over the {} bytes \
+                 the smallest worker max_line_bytes accepts",
+                line.len(),
+                self.max_line_bytes
+            ));
+            return;
+        }
+        self.sweeps += 1;
         let n = self.n;
         let results: Vec<Result<Vec<u64>, String>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
@@ -403,9 +419,15 @@ impl Router {
             }
             let Ok(stream) = conn else { continue };
             let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("ihtl-router-conn".to_string())
-                .spawn(move || handle_connection(stream, &state, addr));
+            let _ =
+                std::thread::Builder::new().name("ihtl-router-conn".to_string()).spawn(move || {
+                    let (limit, idle) = (state.cfg.max_line_bytes, state.cfg.idle_timeout);
+                    if serve_lines(stream, limit, idle, |req| dispatch(&state, req), || {})
+                        == Closed::Shutdown
+                    {
+                        request_shutdown(&state, addr);
+                    }
+                });
         }
     }
 
@@ -418,79 +440,6 @@ impl Router {
             .spawn(move || self.run())?;
         Ok(RouterHandle { addr, state, accept_thread: Some(accept_thread) })
     }
-}
-
-fn handle_connection(stream: TcpStream, state: &Arc<RouterState>, addr: SocketAddr) {
-    if state.cfg.idle_timeout.is_some() {
-        let _ = stream.set_read_timeout(state.cfg.idle_timeout);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let mut limited = (&mut reader).take(state.cfg.max_line_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                let _ = writeln!(writer, "{}", error_reply(None, "idle timeout, closing"));
-                return;
-            }
-            Err(_) => return,
-        }
-        if !line.ends_with('\n') && line.len() >= state.cfg.max_line_bytes {
-            let _ = writeln!(writer, "{}", error_reply(None, "request line too long"));
-            return;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = match Request::parse(trimmed) {
-            Err(msg) => error_reply(None, &msg),
-            Ok(req) => {
-                let is_shutdown = req.op == Op::Shutdown;
-                let reply = dispatch(state, req);
-                if is_shutdown {
-                    let _ = writeln!(writer, "{reply}");
-                    let _ = writer.flush();
-                    let _ = writer.shutdown(NetShutdown::Both);
-                    request_shutdown(state, addr);
-                    return;
-                }
-                reply
-            }
-        };
-        if writeln!(writer, "{reply}").is_err() {
-            return;
-        }
-    }
-}
-
-fn error_reply(id: Option<Json>, msg: &str) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(false)));
-    pairs.push(("error".to_string(), Json::from(msg)));
-    Json::Obj(pairs)
-}
-
-fn ok_reply(id: Option<Json>, body: Json) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(true)));
-    if let Json::Obj(fields) = body {
-        pairs.extend(fields);
-    }
-    Json::Obj(pairs)
 }
 
 fn dispatch(state: &Arc<RouterState>, req: Request) -> Json {
@@ -613,7 +562,7 @@ fn handle_register(
             .iter_mut()
             .enumerate()
             .map(|(k, link)| {
-                let req = Json::obj([
+                let req = render_line(&Json::obj([
                     ("op", Json::from("register")),
                     ("name", Json::from(name)),
                     (
@@ -625,8 +574,7 @@ fn handle_register(
                             ("base", base_json.clone()),
                         ]),
                     ),
-                ])
-                .to_string();
+                ]));
                 s.spawn(move || link.call(&req))
             })
             .collect();
@@ -641,6 +589,7 @@ fn handle_register(
     let mut n_edges = 0usize;
     let mut boundary_sources = 0usize;
     let mut load_seconds = 0.0f64;
+    let mut max_line_bytes = usize::MAX;
     for (k, reply) in replies.iter().enumerate() {
         let reply = reply.as_ref().map_err(Clone::clone)?;
         let field = |key: &str| {
@@ -662,18 +611,18 @@ fn handle_register(
         ranges[k] = (field("range_start")? as u32, field("range_end")? as u32);
         n_edges += field("shard_edges")? as usize;
         boundary_sources += field("boundary_sources")? as usize;
+        max_line_bytes = max_line_bytes.min(field("max_line_bytes")? as usize);
         if let Some(s) = reply.get("load_seconds").and_then(Json::as_f64) {
             load_seconds = load_seconds.max(s);
         }
     }
     // Fetch and sum the per-shard out-degree contributions. Integer
     // addition, so the sum is the base graph's exact out-degree vector.
-    let degree_req = Json::obj([
+    let degree_req = render_line(&Json::obj([
         ("op", Json::from("degrees")),
         ("dataset", Json::from(name)),
         ("view", Json::from("raw")),
-    ])
-    .to_string();
+    ]));
     let degree_replies: Vec<Result<Json, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = links
             .iter_mut()
@@ -721,6 +670,7 @@ fn handle_register(
         boundary_sources,
         out_degrees: Arc::new(out_degrees),
         load_seconds,
+        max_line_bytes,
     };
     // Two clients racing to register the same name: first writer wins, and
     // a same-source loser adopts the winner's entry (idempotent), exactly
@@ -791,6 +741,7 @@ fn handle_job(
         dataset: dataset.to_string(),
         engine_wire: engine.wire_name(),
         view,
+        max_line_bytes: entry.max_line_bytes,
         failed: None,
         sweeps: 0,
     };
@@ -860,7 +811,7 @@ fn handle_stats(state: &Arc<RouterState>) -> Json {
     // Ping every worker so `stats` doubles as a fleet health check. Done
     // on fresh links so a wedged worker costs one timeout, not a hang.
     let mut links = fresh_links(state);
-    let ping = Json::obj([("op", Json::from("ping"))]).to_string();
+    let ping = render_line(&Json::obj([("op", Json::from("ping"))]));
     let health: Vec<Json> = std::thread::scope(|s| {
         let handles: Vec<_> = links
             .iter_mut()

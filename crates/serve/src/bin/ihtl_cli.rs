@@ -14,10 +14,11 @@
 //! ihtl-cli list | stats | shutdown
 //! ```
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 use ihtl_serve::argv::{parse_or_exit, FlagSpec, ParsedArgs};
+use ihtl_serve::line::write_line;
 use ihtl_serve::Json;
 
 const FLAGS: &[FlagSpec] = &[
@@ -167,21 +168,14 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("error: cloning connection to {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if writeln!(writer, "{request}").is_err() {
+    if write_line(&mut &stream, &request).is_err() {
         eprintln!("error: sending request to {addr}");
         std::process::exit(1);
     }
     let mut reply_line = String::new();
     // A clean EOF (server closed without replying) and an I/O failure are
     // different diagnoses — a reset mid-read must not masquerade as a close.
-    match BufReader::new(stream).read_line(&mut reply_line) {
+    match BufReader::new(&stream).read_line(&mut reply_line) {
         Ok(0) => {
             eprintln!("error: server closed the connection without replying");
             std::process::exit(1);

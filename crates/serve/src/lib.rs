@@ -17,6 +17,8 @@
 //! * [`proto`] + [`server`] — a line-delimited JSON protocol over plain
 //!   `std::net` TCP, with a `stats` endpoint reporting queue depth, cache
 //!   hit rates, latency histograms, and live per-engine ns/edge;
+//! * [`line`] — the connection loop and one-write line framing shared
+//!   with `ihtl-router`;
 //! * [`json`] — a hand-rolled JSON parser/serializer (the workspace builds
 //!   with zero external crates);
 //! * [`argv`] — the tiny flag parser shared by `ihtl-serve`, `ihtl-cli`,
@@ -39,6 +41,7 @@ pub mod argv;
 pub mod batch;
 pub mod cache;
 pub mod json;
+pub mod line;
 pub mod proto;
 pub mod registry;
 pub mod sched;

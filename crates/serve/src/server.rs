@@ -10,8 +10,7 @@
 //! shipping the whole vector.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -22,6 +21,7 @@ use ihtl_core::IhtlConfig;
 use crate::batch::{BatchMember, BatchTicket, BatchedOutput, Coalescer};
 use crate::cache::ResultCache;
 use crate::json::Json;
+use crate::line::{error_reply, ok_reply, serve_lines, Closed, MAX_LINE_BYTES};
 use crate::proto::{
     engine_wire_name, EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob,
 };
@@ -43,7 +43,9 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// iHTL build configuration used for every dataset.
     pub ihtl_cfg: IhtlConfig,
-    /// Request lines longer than this are rejected (protocol error).
+    /// Request lines of this many bytes or more, newline excluded, are
+    /// rejected and the connection closed. Reported to the router in shard
+    /// `register` replies so it can refuse oversized sweeps itself.
     pub max_line_bytes: usize,
     /// Close a connection whose client sends nothing for this long
     /// (`None` = wait forever). Idle sockets otherwise pin a thread and a
@@ -69,7 +71,7 @@ impl Default for ServerConfig {
             executors: 1,
             cache_capacity: 64,
             ihtl_cfg: IhtlConfig::default(),
-            max_line_bytes: 1 << 20,
+            max_line_bytes: MAX_LINE_BYTES,
             idle_timeout: Some(Duration::from_secs(30)),
             max_batch: 8,
             store_dir: None,
@@ -195,88 +197,19 @@ impl Server {
     }
 }
 
+/// Serves one client connection, then acts on why it closed.
 fn handle_connection(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr) {
-    // The timeout only governs reads between requests: a job in flight
-    // blocks in `dispatch`, not in `read_line`, so slow jobs are unaffected.
-    if state.cfg.idle_timeout.is_some() {
-        let _ = stream.set_read_timeout(state.cfg.idle_timeout);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
+    let cfg = &state.cfg;
+    let dispatch = |req| dispatch(state, req);
+    let on_idle = || {
+        // ORDERING: Relaxed — stats counter only.
+        state.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
     };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // take() bounds the line length; a longer line shows up as a "line"
-        // with no terminating newline and non-empty content.
-        let mut limited = (&mut reader).take(state.cfg.max_line_bytes as u64);
-        match limited.read_line(&mut line) {
-            Ok(0) => return, // client closed
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle expiry (both kinds occur across platforms). Closing
-                // frees the connection thread and its file descriptor.
-                // ORDERING: Relaxed — stats counter only.
-                state.stats.idle_disconnects.fetch_add(1, Ordering::Relaxed);
-                let _ = writeln!(writer, "{}", error_reply(None, "idle timeout, closing"));
-                return;
-            }
-            Err(_) => return,
-        }
-        if !line.ends_with('\n') && line.len() >= state.cfg.max_line_bytes {
-            let reply = error_reply(None, "request line too long");
-            let _ = writeln!(writer, "{reply}");
-            return;
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let reply = match Request::parse(trimmed) {
-            Err(msg) => error_reply(None, &msg),
-            Ok(req) => {
-                let is_shutdown = req.op == Op::Shutdown;
-                let reply = dispatch(state, req);
-                if is_shutdown {
-                    let _ = writeln!(writer, "{reply}");
-                    let _ = writer.flush();
-                    let _ = writer.shutdown(NetShutdown::Both);
-                    request_shutdown(state, addr);
-                    return;
-                }
-                reply
-            }
-        };
-        if writeln!(writer, "{reply}").is_err() {
-            return;
-        }
+    if serve_lines(stream, cfg.max_line_bytes, cfg.idle_timeout, dispatch, on_idle)
+        == Closed::Shutdown
+    {
+        request_shutdown(state, addr);
     }
-}
-
-/// Builds the `{"ok":false,...}` reply.
-fn error_reply(id: Option<Json>, msg: &str) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(false)));
-    pairs.push(("error".to_string(), Json::from(msg)));
-    Json::Obj(pairs)
-}
-
-/// Builds the `{"ok":true,...}` reply around a body object.
-fn ok_reply(id: Option<Json>, body: Json) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(id) = id {
-        pairs.push(("id".to_string(), id));
-    }
-    pairs.push(("ok".to_string(), Json::Bool(true)));
-    if let Json::Obj(fields) = body {
-        pairs.extend(fields);
-    }
-    Json::Obj(pairs)
 }
 
 fn dispatch(state: &Arc<ServerState>, req: Request) -> Json {
@@ -429,6 +362,10 @@ fn handle_register(
         ("load_seconds".to_string(), Json::Num(ds.load_seconds)),
     ];
     push_shard_fields(&mut pairs, &ds);
+    if ds.shard().is_some() {
+        // The router sizes its `sweep` lines against the smallest limit.
+        pairs.push(("max_line_bytes".to_string(), Json::from(state.cfg.max_line_bytes)));
+    }
     Ok(Json::Obj(pairs))
 }
 
@@ -861,24 +798,26 @@ fn execute_batch(
         // Occupancy counts the columns that actually executed; rejected
         // members consumed no sweep capacity.
         let executed = results.iter().filter(|r| r.is_ok()).count();
-        let mut chunk_seconds = 0.0;
-        let mut chunk_edges = 0u64;
-        for (m, r) in chunk.iter().zip(results) {
-            match r {
-                Ok(out) => {
-                    chunk_seconds += out.seconds;
-                    chunk_edges = chunk_edges
-                        .saturating_add((ds.n_edges as u64).saturating_mul(out.rounds as u64));
-                    m.fill(Ok(BatchedOutput { output: out, batch_k: executed }));
-                }
-                Err(msg) => m.fill(Err(JobError::Failed(msg))),
-            }
-        }
         if executed > 0 {
             // One record per sweep over the summed work: per-engine
-            // ns/edge in `stats` stays amortized per query.
+            // ns/edge in `stats` stays amortized per query. Recorded before
+            // any slot is filled, so a client that asks for `stats` after
+            // its reply sees the sweep that produced it.
+            let mut chunk_seconds = 0.0;
+            let mut chunk_edges = 0u64;
+            for out in results.iter().flatten() {
+                chunk_seconds += out.seconds;
+                chunk_edges = chunk_edges
+                    .saturating_add((ds.n_edges as u64).saturating_mul(out.rounds as u64));
+            }
             state.stats.record_engine(engine, chunk_seconds, chunk_edges);
             state.stats.record_batch(executed);
+        }
+        for (m, r) in chunk.iter().zip(results) {
+            match r {
+                Ok(out) => m.fill(Ok(BatchedOutput { output: out, batch_k: executed })),
+                Err(msg) => m.fill(Err(JobError::Failed(msg))),
+            }
         }
     }
 }
@@ -1120,13 +1059,5 @@ mod tests {
         assert_eq!(a.len(), 16);
         // 0.0 and -0.0 differ in bits, so they must differ in checksum.
         assert_ne!(fnv1a_checksum(&[0.0]), fnv1a_checksum(&[-0.0]));
-    }
-
-    #[test]
-    fn replies_put_id_first_and_ok() {
-        let r = ok_reply(Some(Json::Num(4.0)), Json::obj([("x", Json::from(1u64))]));
-        assert_eq!(r.to_string(), "{\"id\":4,\"ok\":true,\"x\":1}");
-        let e = error_reply(None, "nope");
-        assert_eq!(e.to_string(), "{\"ok\":false,\"error\":\"nope\"}");
     }
 }

@@ -485,8 +485,20 @@ mod tests {
     // so each works only with spans recorded on its own thread after its
     // own mark.
 
+    /// Keeps sibling tests from turning tracing on while
+    /// `disabled_records_nothing` runs: `enable()` is process-global. Tests
+    /// that enable tracing share the read side; the disabled test holds the
+    /// write side.
+    static ENABLE_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    fn may_enable() -> std::sync::RwLockReadGuard<'static, ()> {
+        ENABLE_LOCK.read().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_records_nothing() {
+        let _alone = ENABLE_LOCK.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        assert!(!enabled(), "no sibling test may hold an enable guard here");
         let m = mark();
         for _ in 0..64 {
             let _s = span("should_not_appear").with_arg(9);
@@ -498,6 +510,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_carry_args() {
+        let _lock = may_enable();
         let _on = enable();
         let m = mark();
         {
@@ -523,6 +536,7 @@ mod tests {
 
     #[test]
     fn sibling_spans_share_a_parent() {
+        let _lock = may_enable();
         let _on = enable();
         let m = mark();
         {
@@ -540,6 +554,7 @@ mod tests {
 
     #[test]
     fn remote_threads_are_collected_by_window() {
+        let _lock = may_enable();
         let _on = enable();
         let m = mark();
         std::thread::Builder::new()
@@ -561,6 +576,7 @@ mod tests {
 
     #[test]
     fn enable_guards_nest() {
+        let _lock = may_enable();
         let g1 = enable();
         let g2 = enable();
         assert!(enabled());

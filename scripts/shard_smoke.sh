@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Sharded-serving smoke test (DESIGN.md §14): boot two `ihtl-serve` shard
-# workers and an `ihtl-router` on ephemeral ports, register one R-MAT
-# dataset through the router (which shards it across the workers), and
-# check that the router-merged PageRank checksum is bitwise identical to
-# the same job on a single unsharded worker. Then kill one worker and
-# check that the next routed job degrades to a clean error, not a hang.
+# workers and an `ihtl-router` on ephemeral ports, register R-MAT datasets
+# through the router (which shards them across the workers), and check
+# that each router-merged PageRank checksum is bitwise identical to the
+# same job on a single unsharded worker. The scale-17 dataset's `sweep`
+# lines are over 1 MiB, the worker line limit of earlier releases. Then
+# kill one worker and check that the next routed job degrades to a clean
+# error, not a hang.
 # Everything is offline and must finish well under 30 s from a warm build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,24 +61,36 @@ wait_port "$router_pid" "$workdir/r.port" "$workdir/r.log"
 router="127.0.0.1:$(cat "$workdir/r.port")"
 echo "    router on $router"
 
-echo "==> register an R-MAT dataset through the router (sharded 2 ways)"
+checksum() { sed 's/.*"checksum":"\([0-9a-f]*\)".*/\1/' <<<"$1"; }
+
+# routed_vs_single NAME RMAT_FLAGS...: registers NAME through the router and
+# NAME-full on worker 1, runs the same PageRank on both, and compares.
+routed_vs_single() {
+    local name=$1
+    shift
+    echo "==> register $name ($*) through the router (sharded 2 ways)"
+    "$CLI" --addr "$router" register "$name" "$@"
+    echo "==> pagerank on $name via the router (merged across shards)"
+    local routed solo
+    routed=$("$CLI" --addr "$router" job "$name" pagerank --iters 10 --engine pull_grind --top 3)
+    echo "$routed"
+    echo "==> same dataset, unsharded, on worker 1 as the single-node reference"
+    "$CLI" --addr "$w1" register "$name-full" "$@"
+    solo=$("$CLI" --addr "$w1" job "$name-full" pagerank --iters 10 --engine pull_grind --top 3)
+    echo "$solo"
+    local sum_routed sum_solo
+    sum_routed=$(checksum "$routed")
+    sum_solo=$(checksum "$solo")
+    [[ -n "$sum_routed" && "$sum_routed" == "$sum_solo" ]] || {
+        echo "$name: router-merged checksum differs from single node: $sum_routed vs $sum_solo"
+        exit 1
+    }
+    echo "    $name checksums match bitwise: $sum_routed"
+}
+
 "$CLI" --addr "$router" ping
-"$CLI" --addr "$router" register smoke --rmat-scale 12 --edges 40000 --seed 7
-
-echo "==> pagerank via the router (merged across shards)"
-routed=$("$CLI" --addr "$router" job smoke pagerank --iters 10 --engine pull_grind --top 3)
-echo "$routed"
-
-echo "==> same dataset, unsharded, on worker 1 as the single-node reference"
-"$CLI" --addr "$w1" register smoke-full --rmat-scale 12 --edges 40000 --seed 7
-solo=$("$CLI" --addr "$w1" job smoke-full pagerank --iters 10 --engine pull_grind --top 3)
-echo "$solo"
-
-sum_routed=$(sed 's/.*"checksum":"\([0-9a-f]*\)".*/\1/' <<<"$routed")
-sum_solo=$(sed 's/.*"checksum":"\([0-9a-f]*\)".*/\1/' <<<"$solo")
-[[ -n "$sum_routed" && "$sum_routed" == "$sum_solo" ]] \
-    || { echo "router-merged checksum differs from single node: $sum_routed vs $sum_solo"; exit 1; }
-echo "    checksums match bitwise: $sum_routed"
+routed_vs_single smoke --rmat-scale 12 --edges 40000 --seed 7
+routed_vs_single big --rmat-scale 17 --edges 1048576 --seed 7
 
 echo "==> kill worker 2; the next routed job must fail cleanly"
 kill -9 "$w2_pid"

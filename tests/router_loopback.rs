@@ -25,7 +25,8 @@ impl Client {
     }
 
     fn call(&mut self, req: &str) -> Json {
-        writeln!(self.writer, "{req}").unwrap();
+        // One write per line, like every client on this wire.
+        self.writer.write_all(format!("{req}\n").as_bytes()).unwrap();
         let mut line = String::new();
         self.reader.read_line(&mut line).unwrap();
         Json::parse(&line).unwrap_or_else(|e| panic!("unparseable reply to {req}: {e}: {line}"))
@@ -53,7 +54,11 @@ impl Client {
 }
 
 fn spawn_workers(count: usize) -> Vec<ServerHandle> {
-    (0..count).map(|_| Server::bind(ServerConfig::default()).unwrap().spawn().unwrap()).collect()
+    spawn_workers_with(count, ServerConfig::default())
+}
+
+fn spawn_workers_with(count: usize, cfg: ServerConfig) -> Vec<ServerHandle> {
+    (0..count).map(|_| Server::bind(cfg.clone()).unwrap().spawn().unwrap()).collect()
 }
 
 fn spawn_router(workers: &[ServerHandle]) -> RouterHandle {
@@ -266,6 +271,150 @@ fn router_rejects_bad_and_unsupported_requests() {
     }
     // The connection survives all those errors.
     rc.ok("{\"op\":\"ping\"}");
+    router.shutdown();
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// The `sweep` line the router sends for `dataset` when the source vector
+/// is all ones (the first sweep of an `spmv` job), newline included.
+fn ones_sweep_line_bytes(dataset: &str, engine: &str, n: usize) -> usize {
+    let ones = Json::Arr(vec![Json::from(1.0f64.to_bits()); n]);
+    let line = Json::obj([
+        ("op", Json::from("sweep")),
+        ("dataset", Json::from(dataset)),
+        ("engine", Json::from(engine)),
+        ("monoid", Json::from("add")),
+        ("view", Json::from("raw")),
+        ("xbits", ones),
+    ]);
+    line.to_string().len() + 1
+}
+
+/// Writes a ring over `n` vertices plus chords `v -> 3v+1 (mod n)` as an
+/// edge-list file. Every vertex has in- and out-degree at least one, so
+/// every PageRank and SpMV source vector entry is a positive normal f64
+/// whose bit pattern prints as 19 digits: each sweep line has the same
+/// length as the all-ones line.
+fn ring_with_chords(n: usize, tag: &str) -> std::path::PathBuf {
+    let path =
+        std::env::temp_dir().join(format!("ihtl-router-limit-{}-{tag}-{n}.el", std::process::id()));
+    let mut text = String::new();
+    for v in 0..n {
+        text.push_str(&format!("{v} {}\n{v} {}\n", (v + 1) % n, (3 * v + 1) % n));
+    }
+    std::fs::write(&path, text).unwrap();
+    path
+}
+
+fn worker_stat(addr: SocketAddr, key: &str) -> u64 {
+    let stats = Client::connect(addr).ok("{\"op\":\"stats\"}");
+    stats.get(key).and_then(Json::as_u64).unwrap_or_else(|| panic!("stats lack {key}: {stats}"))
+}
+
+/// The worker line limit on both sides of the boundary, seen through the
+/// router: a graph whose `sweep` line is exactly the workers' limit is
+/// served bitwise-equal to one node; one vertex more and the router
+/// refuses the job with the byte counts, before any worker sees a sweep.
+#[test]
+fn sweep_line_limit_is_enforced_at_the_boundary() {
+    const N: usize = 300;
+    const ENGINE: &str = "pull_grind";
+    // Same-length names, so the two lines differ by one vector entry.
+    let limit = ones_sweep_line_bytes("g-lo", ENGINE, N);
+    assert_eq!(ones_sweep_line_bytes("g-hi", ENGINE, N + 1), limit + 20);
+    let workers =
+        spawn_workers_with(2, ServerConfig { max_line_bytes: limit, ..ServerConfig::default() });
+    let router = spawn_router(&workers);
+    let mut rc = Client::connect(router.addr());
+    let mut wc = Client::connect(workers[0].addr());
+    let lo = ring_with_chords(N, "lo");
+    let hi = ring_with_chords(N + 1, "hi");
+    let register = |name: &str, path: &std::path::Path| {
+        format!(
+            "{{\"op\":\"register\",\"name\":\"{name}\",\"source\":\
+             {{\"type\":\"edgelist\",\"path\":\"{}\"}}}}",
+            path.display()
+        )
+    };
+    rc.ok(&register("g-lo", &lo));
+    rc.ok(&register("g-hi", &hi));
+    wc.ok(&register("g-lo-full", &lo));
+    for job in ["\"kind\":\"spmv\",\"iters\":1", "\"kind\":\"pagerank\",\"iters\":5"] {
+        let routed = rc
+            .ok(&format!("{{\"op\":\"job\",\"dataset\":\"g-lo\",\"engine\":\"{ENGINE}\",{job}}}"));
+        let solo = wc.ok(&format!(
+            "{{\"op\":\"job\",\"dataset\":\"g-lo-full\",\"engine\":\"{ENGINE}\",{job}}}"
+        ));
+        assert_eq!(
+            routed.get("checksum").and_then(Json::as_str),
+            solo.get("checksum").and_then(Json::as_str),
+            "{job}\nrouted: {routed}\nsolo: {solo}"
+        );
+    }
+    let submitted: Vec<u64> = workers.iter().map(|w| worker_stat(w.addr(), "submitted")).collect();
+    let fanned = rc.ok("{\"op\":\"stats\"}").get("sweeps_fanned").and_then(Json::as_u64);
+    let msg = rc.err(&format!(
+        "{{\"op\":\"job\",\"dataset\":\"g-hi\",\"engine\":\"{ENGINE}\",\"kind\":\"spmv\",\"iters\":1}}"
+    ));
+    assert!(msg.contains(&format!("{} bytes", limit + 20)), "{msg}");
+    assert!(msg.contains(&format!("{limit} bytes")), "{msg}");
+    for (w, before) in workers.iter().zip(&submitted) {
+        assert_eq!(worker_stat(w.addr(), "submitted"), *before, "no worker may see the sweep");
+    }
+    let stats = rc.ok("{\"op\":\"stats\"}");
+    assert_eq!(stats.get("sweeps_fanned").and_then(Json::as_u64), fanned, "{stats}");
+    // The refusal is a job error, not a dead connection.
+    rc.ok("{\"op\":\"ping\"}");
+    std::fs::remove_file(lo).ok();
+    std::fs::remove_file(hi).ok();
+    router.shutdown();
+    for w in workers {
+        w.shutdown();
+    }
+}
+
+/// A routed PageRank on an R-MAT scale-17 graph, whose `sweep` lines are
+/// over the old 1 MiB worker limit: a fleet of 1 MiB workers refuses it
+/// cleanly, and at the default limit it is bitwise-equal to one node.
+#[test]
+fn routed_pagerank_past_the_old_line_limit_matches_single_node() {
+    const OLD_LIMIT: usize = 1 << 20;
+    let register = "{\"op\":\"register\",\"name\":\"s17\",\"source\":\
+                    {\"type\":\"rmat\",\"scale\":17,\"edges\":524288,\"seed\":5}}";
+    let job = "{\"op\":\"job\",\"dataset\":\"s17\",\"engine\":\"pull_grind\",\
+               \"kind\":\"pagerank\",\"iters\":10,\"top_k\":5}";
+
+    let old = spawn_workers_with(
+        2,
+        ServerConfig { max_line_bytes: OLD_LIMIT, ..ServerConfig::default() },
+    );
+    let old_router = spawn_router(&old);
+    let mut oc = Client::connect(old_router.addr());
+    oc.ok(register);
+    let msg = oc.err(job);
+    assert!(msg.contains(&format!("{OLD_LIMIT} bytes")), "{msg}");
+    old_router.shutdown();
+    for w in old {
+        w.shutdown();
+    }
+
+    let workers = spawn_workers(2);
+    let router = spawn_router(&workers);
+    let mut rc = Client::connect(router.addr());
+    rc.ok(register);
+    let routed = rc.ok(job);
+    let mut wc = Client::connect(workers[0].addr());
+    wc.ok(&register.replace("\"s17\"", "\"s17-full\""));
+    let solo = wc.ok(&job.replace("\"s17\"", "\"s17-full\""));
+    for key in ["checksum", "rounds", "top"] {
+        assert_eq!(
+            routed.get(key).map(Json::to_string),
+            solo.get(key).map(Json::to_string),
+            "{key} differs\nrouted: {routed}\nsolo: {solo}"
+        );
+    }
     router.shutdown();
     for w in workers {
         w.shutdown();

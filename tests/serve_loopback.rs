@@ -26,7 +26,8 @@ impl Client {
     }
 
     fn roundtrip(&mut self, request: &str) -> Json {
-        writeln!(self.writer, "{request}").expect("send request");
+        // One write per line, like every client on this wire.
+        self.writer.write_all(format!("{request}\n").as_bytes()).expect("send request");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read reply");
         assert!(line.ends_with('\n'), "reply must be a full line: {line:?}");
@@ -267,6 +268,27 @@ fn protocol_errors_keep_the_connection_usable() {
     assert_eq!(datasets.len(), 1);
     assert_eq!(datasets[0].get("name").and_then(Json::as_str), Some("g"));
 
+    handle.shutdown();
+}
+
+/// The line limit on both sides of the boundary: a request of
+/// `max_line_bytes - 1` bytes plus its newline is answered, and one of
+/// `max_line_bytes` bytes gets `request line too long` and a close.
+#[test]
+fn line_limit_is_enforced_at_the_boundary() {
+    const LIMIT: usize = 256;
+    let handle = spawn_server(ServerConfig { max_line_bytes: LIMIT, ..ServerConfig::default() });
+    let ping = "{\"op\":\"ping\",\"id\":9}";
+    let padded = |len: usize| format!("{}{ping}", " ".repeat(len - ping.len()));
+    let mut c = Client::connect(handle.addr());
+    let reply = c.ok(&padded(LIMIT - 1));
+    assert_eq!(reply.get("id").and_then(Json::as_u64), Some(9), "{reply}");
+    assert_eq!(c.err(&padded(LIMIT)), "request line too long");
+    let mut rest = String::new();
+    let n = c.reader.read_line(&mut rest).unwrap_or(0);
+    assert_eq!(n, 0, "the connection must close after the refusal: {rest:?}");
+    // The limit is per line: a fresh connection is served again.
+    Client::connect(handle.addr()).ok(&padded(LIMIT - 1));
     handle.shutdown();
 }
 
