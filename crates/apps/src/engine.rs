@@ -17,7 +17,7 @@
 use std::borrow::Borrow;
 use std::sync::Arc;
 
-use ihtl_core::{HybridPlan, IhtlConfig, IhtlGraph, ThreadBuffers};
+use ihtl_core::{IhtlConfig, IhtlGraph, ThreadBuffers};
 use ihtl_graph::Graph;
 use ihtl_traversal::pb::PbGraph;
 use ihtl_traversal::pull::{
@@ -27,7 +27,7 @@ use ihtl_traversal::push::{spmv_push_atomic, spmv_push_partitioned, DstPartition
 use ihtl_traversal::{Add, Min};
 
 /// The traversal strategies of the paper's evaluation (Figure 7 columns),
-/// plus iHTL and the propagation-blocking additions.
+/// plus iHTL and the propagation-blocking addition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
     /// GraphGrind pull: edge-balanced contiguous partitions.
@@ -45,9 +45,6 @@ pub enum EngineKind {
     /// Propagation-blocking push: contributions binned by destination
     /// segment, merged segment-by-segment (Balaji & Lucia).
     Pb,
-    /// iHTL's blocking with the flipped-block push replaced by the binned
-    /// sweep; the sparse pull phase is kept.
-    Hybrid,
 }
 
 impl EngineKind {
@@ -61,13 +58,12 @@ impl EngineKind {
             EngineKind::PushGraphIt => "push/GraphIt",
             EngineKind::Ihtl => "iHTL",
             EngineKind::Pb => "push/PB",
-            EngineKind::Hybrid => "iHTL+PB",
         }
     }
 
     /// All kinds in the order Figure 7 reports them, with the
-    /// propagation-blocking additions appended.
-    pub fn all() -> [EngineKind; 8] {
+    /// propagation-blocking addition appended.
+    pub fn all() -> [EngineKind; 7] {
         [
             EngineKind::PushGraphGrind,
             EngineKind::PushGraphIt,
@@ -76,7 +72,6 @@ impl EngineKind {
             EngineKind::PullGalois,
             EngineKind::Ihtl,
             EngineKind::Pb,
-            EngineKind::Hybrid,
         ]
     }
 }
@@ -208,10 +203,6 @@ where
         EngineKind::Pb => {
             let pb = PbGraph::new(gr, ihtl_cfg.cache_budget_bytes, ihtl_cfg.vertex_data_bytes);
             Box::new(pb_engine_from_shared(Arc::new(pb), out_degrees))
-        }
-        EngineKind::Hybrid => {
-            let ih = Arc::new(IhtlGraph::build(gr, ihtl_cfg));
-            Box::new(hybrid_engine_from_shared(ih))
         }
     }
 }
@@ -494,60 +485,6 @@ impl SpmvEngine for Pb {
     }
 }
 
-/// The hybrid engine: iHTL's blocking and sparse pull with the buffered
-/// flipped-block push replaced by the binned sweep
-/// ([`IhtlGraph::spmv_hybrid`]). Shares the preprocessed graph exactly like
-/// [`Ihtl`]; only the per-engine plan values are private.
-pub struct Hybrid {
-    ih: Arc<IhtlGraph>,
-    plan: HybridPlan,
-    out_degrees: Vec<u32>,
-}
-
-impl SpmvEngine for Hybrid {
-    fn n_vertices(&self) -> usize {
-        self.ih.n_vertices()
-    }
-    fn label(&self) -> &'static str {
-        EngineKind::Hybrid.label()
-    }
-    fn out_degrees(&self) -> &[u32] {
-        &self.out_degrees
-    }
-    fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv_hybrid::<Add>(x, y, &mut self.plan);
-    }
-    fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv_hybrid::<Min>(x, y, &mut self.plan);
-    }
-    fn to_original_order(&self, v: &[f64]) -> Vec<f64> {
-        self.ih.to_old_order(v)
-    }
-    fn from_original_order(&self, v: &[f64]) -> Vec<f64> {
-        self.ih.to_new_order(v)
-    }
-    // Native SpMM: the binned push and the sparse pull both run k columns
-    // wide over one edge sweep (`IhtlGraph::spmm_hybrid`).
-    fn spmm_add(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_add(x, y);
-        }
-        self.ih.spmm_hybrid::<Add>(x, y, k, &mut self.plan);
-    }
-    fn spmm_min(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_min(x, y);
-        }
-        self.ih.spmm_hybrid::<Min>(x, y, k, &mut self.plan);
-    }
-    fn to_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_old_order_multi(v, k)
-    }
-    fn from_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
-        self.ih.to_new_order_multi(v, k)
-    }
-}
-
 /// Builds the iHTL engine concretely (callers needing breakdown access).
 pub fn build_ihtl_engine(g: &Graph, cfg: &IhtlConfig) -> Ihtl {
     ihtl_engine_from_shared(Arc::new(IhtlGraph::build(g, cfg)))
@@ -559,15 +496,6 @@ pub fn build_ihtl_engine(g: &Graph, cfg: &IhtlConfig) -> Ihtl {
 /// stores topology only; degree data travels with the dataset).
 pub fn pb_engine_from_shared(pb: Arc<PbGraph>, out_degrees: Vec<u32>) -> Pb {
     Pb { pb, values: Vec::new(), out_degrees }
-}
-
-/// Wraps an already-preprocessed iHTL graph in a hybrid engine with a fresh
-/// propagation-blocking plan, sharing the blocked graph like
-/// [`ihtl_engine_from_shared`].
-pub fn hybrid_engine_from_shared(ih: Arc<IhtlGraph>) -> Hybrid {
-    let plan = ih.new_hybrid_plan();
-    let out_degrees = ih.out_degree_new().to_vec();
-    Hybrid { ih, plan, out_degrees }
 }
 
 /// Wraps an already-preprocessed (possibly disk-loaded) iHTL graph in an
@@ -704,6 +632,6 @@ mod tests {
     fn labels_are_distinct() {
         let labels: std::collections::HashSet<_> =
             EngineKind::all().iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), 8);
+        assert_eq!(labels.len(), EngineKind::all().len());
     }
 }

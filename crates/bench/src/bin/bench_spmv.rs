@@ -229,7 +229,7 @@ fn render_spmm_json(results: &[SpmmResult], samples: usize) -> String {
     out
 }
 
-/// One row of the four-engine A/B matrix.
+/// One row of the three-engine A/B matrix.
 struct EngineMatrixRow {
     key: String,
     n_vertices: usize,
@@ -307,7 +307,7 @@ fn engine_suite(samples: usize) -> Vec<(String, Graph)> {
     out
 }
 
-/// Times all four candidate engines (plain pull, iHTL, PB, hybrid) on one
+/// Times all three candidate engines (plain pull, iHTL, PB) on one
 /// dataset through the uniform engine API, and resolves the scoring rule's
 /// pick from the same structural features the serve tier uses — with the
 /// two cache roles split to the detected hierarchy: the flipped-block /
@@ -318,7 +318,7 @@ fn engine_suite(samples: usize) -> Vec<(String, Graph)> {
 /// and on shared hosts a slow window (noisy neighbours, frequency dips)
 /// lasting longer than one engine's whole sample budget would otherwise
 /// penalise only the engine being timed just then. Round-robin spreads any
-/// window across all four; per-engine minima then come from the same fast
+/// window across all three; per-engine minima then come from the same fast
 /// windows.
 fn bench_engine_matrix(key: &str, g: &Graph, samples: usize) -> EngineMatrixRow {
     let (buffer, llc) = ihtl_parallel::cache_sizes();
@@ -326,11 +326,10 @@ fn bench_engine_matrix(key: &str, g: &Graph, samples: usize) -> EngineMatrixRow 
     let n = g.n_vertices();
     let m = g.n_edges();
     let x: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64 + 0.5).collect();
-    const CANDIDATES: [(EnginePick, EngineKind); 4] = [
+    const CANDIDATES: [(EnginePick, EngineKind); 3] = [
         (EnginePick::Pull, EngineKind::PullGraphGrind),
         (EnginePick::Ihtl, EngineKind::Ihtl),
         (EnginePick::Pb, EngineKind::Pb),
-        (EnginePick::Hybrid, EngineKind::Hybrid),
     ];
     let mut runs = Vec::new();
     let mut slowest_warmup = 0.0f64;
@@ -422,7 +421,7 @@ fn render_engines_json(rows: &[EngineMatrixRow], samples: usize) -> String {
     let rmat_speedup = rows
         .iter()
         .filter(|r| r.key.starts_with("rmat"))
-        .map(|r| r.ns_of("pull") / r.ns_of("pb").min(r.ns_of("hybrid")))
+        .map(|r| r.ns_of("pull") / r.ns_of("pb"))
         .fold(f64::INFINITY, f64::min);
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!("    \"max_auto_gap_pct\": {max_gap:.2},\n"));
@@ -433,7 +432,7 @@ fn render_engines_json(rows: &[EngineMatrixRow], samples: usize) -> String {
 }
 
 /// Engine-matrix acceptance: `auto` within `gate_pct` of the best fixed
-/// engine on every dataset, and the binned engines (pb and hybrid) beating
+/// engine on every dataset, and the binned engine (pb) beating
 /// plain pull on every skewed cache-thrashing rmat dataset. Returns the
 /// failure messages (empty = pass).
 fn check_engine_gate(rows: &[EngineMatrixRow], gate_pct: f64) -> Vec<String> {
@@ -455,14 +454,12 @@ fn check_engine_gate(rows: &[EngineMatrixRow], gate_pct: f64) -> Vec<String> {
         }
         if row.key.starts_with("rmat") {
             let pull = row.ns_of("pull");
-            for name in ["pb", "hybrid"] {
-                let ns = row.ns_of(name);
-                if ns.is_nan() || pull.is_nan() || ns >= pull {
-                    failures.push(format!(
-                        "{}: {name} ({ns:.3} ns/edge) does not beat plain pull ({pull:.3})",
-                        row.key
-                    ));
-                }
+            let pb = row.ns_of("pb");
+            if pb.is_nan() || pull.is_nan() || pb >= pull {
+                failures.push(format!(
+                    "{}: pb ({pb:.3} ns/edge) does not beat plain pull ({pull:.3})",
+                    row.key
+                ));
             }
         }
     }
@@ -640,7 +637,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "engines",
         value: None,
-        help: "run the four-engine A/B matrix (pull/ihtl/pb/hybrid + auto pick)",
+        help: "run the three-engine A/B matrix (pull/ihtl/pb + auto pick)",
     },
     FlagSpec {
         name: "engines-out",
@@ -651,7 +648,7 @@ const FLAGS: &[FlagSpec] = &[
         name: "engines-gate",
         value: Some("PCT"),
         help: "fail unless auto is within PCT% of the best fixed engine everywhere \
-               and pb/hybrid beat pull on the rmat datasets",
+               and pb beats pull on the rmat datasets",
     },
 ];
 

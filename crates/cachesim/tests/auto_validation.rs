@@ -117,7 +117,7 @@ fn pb_term_matches_replay_on_flat_graph() {
     let (g, budget) = flat_thrashing();
     let f = engine_features(&g, budget, VDB);
     assert!(f.degree_skew < SKEW_MIN, "er graph must stay below the skew gate");
-    let [(_, pull_cost), _, (_, pb_cost), _] = engine_costs(&f, 1);
+    let [(_, pull_cost), _, (_, pb_cost)] = engine_costs(&f, 1);
     assert!(pb_cost < pull_cost);
 
     let cfg = CacheConfig::default();

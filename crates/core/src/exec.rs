@@ -554,370 +554,6 @@ fn lane_partition(n_tasks: usize, n_lanes: usize) -> Vec<std::ops::Range<usize>>
     (0..n_lanes).map(|l| n_tasks * l / n_lanes..n_tasks * (l + 1) / n_lanes).collect()
 }
 
-/// Precomputed propagation-blocking plan for the **hybrid** executor: the
-/// flipped-block push phase is replaced by a two-phase binned sweep (bin
-/// contributions per push task, then merge task streams block-by-block)
-/// while the sparse pull phase is kept unchanged.
-///
-/// Unlike the buffered push — whose merge folds per-*worker* buffers in
-/// worker order, making the `Add` combine order depend on the dynamic
-/// task→worker assignment — every edge here writes a slot fixed at plan
-/// time and the merge replays tasks in a fixed order, so the hybrid is
-/// fully schedule-independent: bitwise-reproducible for any monoid, any
-/// inputs and any thread count. Each block's hub span fits the cache
-/// budget, so the merge's random writes stay cache-resident exactly as in
-/// the buffered push.
-pub struct HybridPlan {
-    /// Prefix sums of per-push-task flipped-block edge counts, task-major:
-    /// task `t`'s slots span `task_offsets[t] .. task_offsets[t + 1]`.
-    task_offsets: Vec<u64>,
-    /// `dst[p]` = *global* hub new-id receiving the contribution binned at
-    /// slot `p` (topology-only, written once here).
-    dst: Vec<ihtl_graph::VertexId>,
-    /// Task index range per block (`push_tasks` is block-major, so each
-    /// block's tasks are contiguous).
-    block_tasks: Vec<(u32, u32)>,
-    /// Contribution values, `k`-interleaved, (re)written per traversal.
-    values: Vec<f64>,
-}
-
-impl HybridPlan {
-    /// Total flipped-block edge slots.
-    pub fn n_slots(&self) -> usize {
-        self.dst.len()
-    }
-
-    /// Topology bytes of the plan beyond the blocked graph it was built
-    /// from (the binned destination of every flipped-block edge plus the
-    /// task extents).
-    pub fn topology_bytes(&self) -> u64 {
-        (self.dst.len() * 4 + self.task_offsets.len() * 8 + self.block_tasks.len() * 8) as u64
-    }
-}
-
-impl IhtlGraph {
-    /// Builds the [`HybridPlan`] for this blocked graph: per-task bin
-    /// extents and the fixed destination of every flipped-block edge, in
-    /// exactly the order the buffered push sweeps them.
-    pub fn new_hybrid_plan(&self) -> HybridPlan {
-        let mut task_offsets = Vec::with_capacity(self.push_tasks.len() + 1);
-        task_offsets.push(0u64);
-        let mut total = 0u64;
-        for &(b, range) in &self.push_tasks {
-            let offsets = self.blocks[b as usize].edges.offsets();
-            total += offsets[range.end as usize] - offsets[range.start as usize];
-            task_offsets.push(total);
-        }
-        let mut dst = vec![0 as ihtl_graph::VertexId; total as usize];
-        for (t, &(b, range)) in self.push_tasks.iter().enumerate() {
-            let blk = &self.blocks[b as usize];
-            let base = blk.hub_start;
-            let s = blk.edges.offsets()[range.start as usize] as usize;
-            let e = blk.edges.offsets()[range.end as usize] as usize;
-            let out = &mut dst[task_offsets[t] as usize..task_offsets[t] as usize + (e - s)];
-            for (slot, &local) in out.iter_mut().zip(&blk.edges.targets()[s..e]) {
-                *slot = base + local;
-            }
-        }
-        // push_tasks is block-major (build_push_tasks flat-maps blocks in
-        // order), so each block's tasks form one contiguous index range.
-        let mut block_tasks = vec![(0u32, 0u32); self.blocks.len()];
-        for (t, &(b, _)) in self.push_tasks.iter().enumerate() {
-            let slot = &mut block_tasks[b as usize];
-            if slot.1 == 0 {
-                *slot = (t as u32, t as u32 + 1);
-            } else {
-                debug_assert_eq!(slot.1, t as u32, "push_tasks must be block-major");
-                slot.1 = t as u32 + 1;
-            }
-        }
-        HybridPlan { task_offsets, dst, block_tasks, values: Vec::new() }
-    }
-
-    /// One hybrid SpMV iteration: binned push over the flipped blocks
-    /// (propagation blocking), unchanged sparse pull. Same signature and
-    /// semantics as [`IhtlGraph::spmv`]; `fb_seconds` times the bin phase
-    /// and `merge_seconds` the per-block replay.
-    pub fn spmv_hybrid<M: Monoid>(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        plan: &mut HybridPlan,
-    ) -> ExecBreakdown {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        assert_eq!(plan.task_offsets.len(), self.push_tasks.len() + 1, "plan from another graph");
-        let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("hybrid_spmv");
-        let n_slots = plan.dst.len();
-        if plan.values.len() != n_slots {
-            plan.values.clear();
-            plan.values.resize(n_slots, 0.0);
-        }
-
-        // --- Phase 1: bin contributions per push task. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_bin");
-            // Each task owns the distinct slot range `task_offsets[t] ..
-            // task_offsets[t+1]`, so the scattered stores are race-free;
-            // the atomic view only provides the unsynchronised shared
-            // mutability (plain relaxed stores, no CAS).
-            let slots = ihtl_traversal::monoid::as_atomic_slice(&mut plan.values);
-            let task_offsets = &plan.task_offsets;
-            ihtl_parallel::par_for_each(&self.push_tasks, 1, |t, &(b, range)| {
-                let _task_span = ihtl_trace::span("bin_task").with_arg(b as u64);
-                let blk = &self.blocks[b as usize];
-                let offsets = blk.edges.offsets();
-                debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut p = task_offsets[t] as usize;
-                let mut s = offsets[range.start as usize] as usize;
-                for row in range.iter() {
-                    // SAFETY: push-task ranges lie within the block's
-                    // compacted rows and offsets are monotone ending at
-                    // `targets.len()`; `srcs[row] < n_active <= n ==
-                    // x.len()`; the write cursor `p` stays below
-                    // `task_offsets[t+1] <= slots.len()` because it
-                    // advances exactly once per task edge.
-                    unsafe {
-                        let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize);
-                        debug_assert!((u as usize) < x.len());
-                        let bits = x.get_unchecked(u as usize).to_bits();
-                        for _ in s..e {
-                            debug_assert!(p < slots.len());
-                            // ORDERING: Relaxed — each slot is written by
-                            // exactly one worker (disjoint ranges); the
-                            // region join publishes the buffer to readers.
-                            slots
-                                .get_unchecked(p)
-                                .store(bits, std::sync::atomic::Ordering::Relaxed);
-                            p += 1;
-                        }
-                        s = e;
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.fb_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 2: merge task streams, block by block. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_merge");
-            let values = &plan.values[..];
-            let (hub_y, _) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges_iter(
-                hub_y,
-                self.blocks
-                    .iter()
-                    .map(|blk| VertexRange { start: blk.hub_start, end: blk.hub_end }),
-            );
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |b, out| {
-                let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
-                for slot in out.iter_mut() {
-                    *slot = M::identity();
-                }
-                let hub_base = self.blocks[b].hub_start as usize;
-                let (t_lo, t_hi) = plan.block_tasks[b];
-                // Replay tasks in ascending index order: tasks tile a
-                // block's compacted rows ascending, so each hub combines
-                // its contributions in ascending-source order — a fixed,
-                // schedule-independent sequence.
-                for t in t_lo..t_hi {
-                    let lo = plan.task_offsets[t as usize] as usize;
-                    let hi = plan.task_offsets[t as usize + 1] as usize;
-                    // SAFETY: slots of task `t` hold only this block's hubs
-                    // (`dst` built from block-local targets + hub_start), so
-                    // `dst - hub_base < out.len()`; slot indices are
-                    // `< n_slots == values.len()` by construction.
-                    unsafe {
-                        for (p, &d) in plan.dst.get_unchecked(lo..hi).iter().enumerate() {
-                            let slot = out.get_unchecked_mut(d as usize - hub_base);
-                            *slot = M::combine(*slot, *values.get_unchecked(lo + p));
-                        }
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.merge_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 3: pull over the sparse block (unchanged). ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("sparse_pull");
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges(sparse_y, &self.sparse_tasks);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into::<M>(
-                    &self.sparse,
-                    x,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-            drop(phase_span);
-        }
-        breakdown.pull_seconds = t.elapsed().as_secs_f64();
-        breakdown
-    }
-
-    /// `k`-column hybrid SpMM (interleaved layout, as [`IhtlGraph::spmm`]).
-    /// Column `j` is bitwise identical to a solo [`IhtlGraph::spmv_hybrid`]
-    /// over column `j`: slots are fixed per edge and the merge replays the
-    /// same order per column.
-    pub fn spmm_hybrid<M: Monoid>(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        k: usize,
-        plan: &mut HybridPlan,
-    ) -> ExecBreakdown {
-        assert!(k >= 1, "spmm needs at least one column");
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        assert_eq!(plan.task_offsets.len(), self.push_tasks.len() + 1, "plan from another graph");
-        assert!(self.n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
-        let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("hybrid_spmv").with_arg(k as u64);
-        let n_slots = plan.dst.len();
-        // The bin phase overwrites every slot, so reuse needs no reset —
-        // resizing only when `k` changes avoids an O(m·k) memset per call.
-        if plan.values.len() != n_slots * k {
-            plan.values.clear();
-            plan.values.resize(n_slots * k, 0.0);
-        }
-
-        // --- Phase 1: bin contributions per push task. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_bin");
-            // Each task owns the distinct slot range `task_offsets[t] ..
-            // task_offsets[t+1]` (×k), so the scattered stores are
-            // race-free; the atomic view only provides the unsynchronised
-            // shared mutability (plain relaxed stores, no CAS).
-            let slots = ihtl_traversal::monoid::as_atomic_slice(&mut plan.values);
-            let task_offsets = &plan.task_offsets;
-            ihtl_parallel::par_for_each(&self.push_tasks, 1, |t, &(b, range)| {
-                let _task_span = ihtl_trace::span("bin_task").with_arg(b as u64);
-                let blk = &self.blocks[b as usize];
-                let offsets = blk.edges.offsets();
-                debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut p = task_offsets[t] as usize * k;
-                let mut s = offsets[range.start as usize] as usize;
-                for row in range.iter() {
-                    // SAFETY: push-task ranges lie within the block's
-                    // compacted rows and offsets are monotone ending at
-                    // `targets.len()`; `srcs[row] < n_active <= n`, so the
-                    // column reads span `u*k..u*k+k <= x.len()` (asserted
-                    // above); the write cursor `p` stays below
-                    // `task_offsets[t+1] * k <= slots.len()` because it
-                    // advances exactly once per task edge.
-                    unsafe {
-                        let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize) as usize;
-                        debug_assert!(u * k + k <= x.len());
-                        let xs = x.get_unchecked(u * k..u * k + k);
-                        for _ in s..e {
-                            debug_assert!(p + k <= slots.len());
-                            for (j, &xv) in xs.iter().enumerate() {
-                                // ORDERING: Relaxed — disjoint slots; the
-                                // region join publishes, as above.
-                                slots
-                                    .get_unchecked(p + j)
-                                    .store(xv.to_bits(), std::sync::atomic::Ordering::Relaxed);
-                            }
-                            p += k;
-                        }
-                        s = e;
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.fb_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 2: merge task streams, block by block. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("pb_merge");
-            let values = &plan.values[..];
-            let (hub_y, _) = y.split_at_mut(self.n_hubs * k);
-            let mut slices = split_ranges_iter(
-                hub_y,
-                self.blocks.iter().map(|blk| {
-                    scale_range(VertexRange { start: blk.hub_start, end: blk.hub_end }, k)
-                }),
-            );
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |b, out| {
-                let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
-                for slot in out.iter_mut() {
-                    *slot = M::identity();
-                }
-                let hub_base = self.blocks[b].hub_start as usize * k;
-                let (t_lo, t_hi) = plan.block_tasks[b];
-                // Replay tasks in ascending index order: tasks tile a
-                // block's compacted rows ascending, so each hub combines
-                // its contributions in ascending-source order — a fixed,
-                // schedule-independent sequence.
-                for t in t_lo..t_hi {
-                    let lo = plan.task_offsets[t as usize] as usize;
-                    let hi = plan.task_offsets[t as usize + 1] as usize;
-                    // SAFETY: slots of task `t` hold only this block's hubs
-                    // (`dst` built from block-local targets + hub_start), so
-                    // `dst*k - hub_base + j < out.len()`; slot indices are
-                    // `< n_slots * k == values.len()` by construction.
-                    unsafe {
-                        for (p, &d) in plan.dst.get_unchecked(lo..hi).iter().enumerate() {
-                            let ob = d as usize * k - hub_base;
-                            let vb = (lo + p) * k;
-                            debug_assert!(ob + k <= out.len());
-                            for j in 0..k {
-                                let slot = out.get_unchecked_mut(ob + j);
-                                *slot = M::combine(*slot, *values.get_unchecked(vb + j));
-                            }
-                        }
-                    }
-                }
-            });
-            drop(phase_span);
-        }
-        breakdown.merge_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 3: pull over the sparse block (unchanged). ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        {
-            let phase_span = ihtl_trace::span("sparse_pull");
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs * k);
-            let scaled: Vec<VertexRange> =
-                self.sparse_tasks.iter().map(|&r| scale_range(r, k)).collect();
-            let mut slices = split_ranges(sparse_y, &scaled);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into_multi::<M>(
-                    &self.sparse,
-                    x,
-                    k,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-            drop(phase_span);
-        }
-        breakdown.pull_seconds = t.elapsed().as_secs_f64();
-        breakdown
-    }
-}
-
 impl IhtlGraph {
     /// Ablation of the paper's §3.4 buffering decision: Algorithm 3 with
     /// the flipped-block updates applied *atomically* to the hub results
@@ -1242,88 +878,6 @@ mod tests {
         let mut y = vec![0.0; 8];
         let mut bufs = ih.new_buffers_multi(4);
         ih.spmv::<Add>(&x, &mut y, &mut bufs);
-    }
-
-    /// The hybrid executor is fully schedule-independent, so it must match
-    /// the *buffered* executor bitwise wherever the buffered executor is
-    /// itself deterministic (exact inputs for `Add`, any values for `Min`)
-    /// and match pull bitwise for any values under `Min`.
-    fn check_hybrid_matches_buffered_bitwise<M: Monoid>(g: &Graph, cfg: &IhtlConfig, x: &[f64]) {
-        let ih = IhtlGraph::build(g, cfg);
-        let x_new = ih.to_new_order(x);
-        let mut y_buf = vec![f64::NAN; g.n_vertices()];
-        let mut bufs = ih.new_buffers();
-        ih.spmv::<M>(&x_new, &mut y_buf, &mut bufs);
-        let mut y_hyb = vec![f64::NAN; g.n_vertices()];
-        let mut plan = ih.new_hybrid_plan();
-        // Two iterations over the same plan: slot reuse must be clean.
-        for _ in 0..2 {
-            ih.spmv_hybrid::<M>(&x_new, &mut y_hyb, &mut plan);
-        }
-        for (v, (a, b)) in y_buf.iter().zip(&y_hyb).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "vertex {v}: buffered {a} vs hybrid {b}");
-        }
-    }
-
-    #[test]
-    fn hybrid_matches_buffered_bitwise() {
-        let g = paper_example_graph();
-        let x_int: Vec<f64> = (0..8).map(|i| ((i * 13) % 7 + 1) as f64).collect();
-        let x_any: Vec<f64> = (0..8).map(|i| (i as f64) * 0.73 + 0.11).collect();
-        for budget in [8, 16, 1 << 20] {
-            let cfg = IhtlConfig { cache_budget_bytes: budget, ..IhtlConfig::default() };
-            check_hybrid_matches_buffered_bitwise::<Add>(&g, &cfg, &x_int);
-            check_hybrid_matches_buffered_bitwise::<Min>(&g, &cfg, &x_any);
-        }
-    }
-
-    #[test]
-    fn hybrid_matches_pull_on_edgeless_graph() {
-        let g = Graph::from_edges(4, &[]);
-        let ih = IhtlGraph::build(&g, &IhtlConfig::default());
-        let mut y = vec![1.0; 4];
-        let mut plan = ih.new_hybrid_plan();
-        ih.spmv_hybrid::<Add>(&[0.0; 4], &mut y, &mut plan);
-        assert_eq!(y, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn hybrid_spmm_columns_match_solo_bitwise() {
-        let g = paper_example_graph();
-        let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
-        let ih = IhtlGraph::build(&g, &cfg);
-        let n = g.n_vertices();
-        for k in [1usize, 2, 4, 8] {
-            // Arbitrary (non-integer) values: the hybrid is schedule
-            // independent, so bitwise identity must hold for any inputs.
-            let cols: Vec<Vec<f64>> = (0..k)
-                .map(|j| (0..n).map(|i| (i * (j + 2)) as f64 * 0.37 + 0.1).collect())
-                .collect();
-            let x_m = ih.to_new_order_multi(&interleave(&cols), k);
-            let mut y_m = vec![f64::NAN; n * k];
-            let mut plan = ih.new_hybrid_plan();
-            ih.spmm_hybrid::<Add>(&x_m, &mut y_m, k, &mut plan);
-            for (j, col) in cols.iter().enumerate() {
-                let x_new = ih.to_new_order(col);
-                let mut solo = vec![f64::NAN; n];
-                let mut solo_plan = ih.new_hybrid_plan();
-                ih.spmv_hybrid::<Add>(&x_new, &mut solo, &mut solo_plan);
-                for v in 0..n {
-                    assert_eq!(y_m[v * k + j].to_bits(), solo[v].to_bits(), "k={k} col {j} v {v}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_plan_accounting() {
-        let g = paper_example_graph();
-        let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
-        let ih = IhtlGraph::build(&g, &cfg);
-        let plan = ih.new_hybrid_plan();
-        let fb_edges: usize = ih.blocks().iter().map(|b| b.n_edges()).sum();
-        assert_eq!(plan.n_slots(), fb_edges);
-        assert!(plan.topology_bytes() > 0);
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub mod io;
 pub mod stats;
 
 pub use config::{BlockCountMode, IhtlConfig};
-pub use exec::{ExecBreakdown, HybridPlan, ThreadBuffers};
+pub use exec::{ExecBreakdown, ThreadBuffers};
 pub use graph::{FlippedBlock, IhtlGraph, VertexClass};
 pub use stats::BuildStats;

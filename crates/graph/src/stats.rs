@@ -125,7 +125,7 @@ pub struct EngineFeatures {
     pub n_vertices: usize,
     pub n_edges: usize,
     /// `max_in_degree / mean_degree` — how hub-dominated the in-degree
-    /// distribution is. Hub-based engines (iHTL, hybrid) need skew to have
+    /// distribution is. Hub-based engines (iHTL) need skew to have
     /// anything to exploit.
     pub degree_skew: f64,
     /// Number of vertex-data slots the cache budget holds
@@ -205,14 +205,11 @@ pub enum EnginePick {
     Ihtl,
     /// Propagation blocking: binned push over all destinations.
     Pb,
-    /// iHTL blocking with the buffered hub push replaced by a binned sweep.
-    Hybrid,
 }
 
 impl EnginePick {
     /// Fixed evaluation order; earlier entries win cost ties.
-    pub const ALL: [EnginePick; 4] =
-        [EnginePick::Pull, EnginePick::Ihtl, EnginePick::Pb, EnginePick::Hybrid];
+    pub const ALL: [EnginePick; 3] = [EnginePick::Pull, EnginePick::Ihtl, EnginePick::Pb];
 
     /// The engine's wire-protocol name.
     pub fn wire_name(self) -> &'static str {
@@ -220,7 +217,6 @@ impl EnginePick {
             EnginePick::Pull => "pull",
             EnginePick::Ihtl => "ihtl",
             EnginePick::Pb => "pb",
-            EnginePick::Hybrid => "hybrid",
         }
     }
 }
@@ -235,16 +231,11 @@ impl EnginePick {
 /// * a PB edge streams its contribution out and back in
 ///   (8 B write + 8 B read + 4 B destination ID, all sequential) instead —
 ///   roughly a third of a 64 B random miss, so [`PB_STREAM_COST`] = 0.35;
-/// * the hybrid bins only into the compacted hub range (dense segments,
-///   block-local cursors), discounting the stream to
-///   [`HYBRID_STREAM_COST`] = 0.25;
 /// * iHTL's extra per-block source re-reads cost [`IHTL_BLOCK_COST`] =
 ///   0.05 per hub edge, and its merge re-reads every worker's buffer for
 ///   every hub — [`MERGE_RMW_COST`] × threads / avg-hub-degree per hub
 ///   edge.
 pub const PB_STREAM_COST: f64 = 0.35;
-/// See [`PB_STREAM_COST`].
-pub const HYBRID_STREAM_COST: f64 = 0.25;
 /// See [`PB_STREAM_COST`].
 pub const IHTL_BLOCK_COST: f64 = 0.05;
 /// See [`PB_STREAM_COST`].
@@ -264,12 +255,11 @@ pub const SKEW_MIN: f64 = 8.0;
 /// pull       = miss
 /// pb         = PB_STREAM_COST
 /// ihtl       = (1-h)·miss + h·(IHTL_BLOCK_COST + merge)   [skew ≥ SKEW_MIN]
-/// hybrid     = (1-h)·miss + h·HYBRID_STREAM_COST          [skew ≥ SKEW_MIN]
 /// ```
 ///
-/// Hub engines score infinity when skew is below [`SKEW_MIN`] or no edge
+/// iHTL scores infinity when skew is below [`SKEW_MIN`] or no edge
 /// reaches the top slots.
-pub fn engine_costs(f: &EngineFeatures, n_threads: usize) -> [(EnginePick, f64); 4] {
+pub fn engine_costs(f: &EngineFeatures, n_threads: usize) -> [(EnginePick, f64); 3] {
     let resident = if f.data_cache_ratio <= 1.0 { 1.0 } else { 1.0 / f.data_cache_ratio };
     let miss = 1.0 - resident;
     let h = f.hub_edge_fraction;
@@ -279,20 +269,9 @@ pub fn engine_costs(f: &EngineFeatures, n_threads: usize) -> [(EnginePick, f64);
     } else {
         0.0
     };
-    let (ihtl, hybrid) = if hubs_usable {
-        (
-            (1.0 - h) * miss + h * (IHTL_BLOCK_COST + merge),
-            (1.0 - h) * miss + h * HYBRID_STREAM_COST,
-        )
-    } else {
-        (f64::INFINITY, f64::INFINITY)
-    };
-    [
-        (EnginePick::Pull, miss),
-        (EnginePick::Ihtl, ihtl),
-        (EnginePick::Pb, PB_STREAM_COST),
-        (EnginePick::Hybrid, hybrid),
-    ]
+    let ihtl =
+        if hubs_usable { (1.0 - h) * miss + h * (IHTL_BLOCK_COST + merge) } else { f64::INFINITY };
+    [(EnginePick::Pull, miss), (EnginePick::Ihtl, ihtl), (EnginePick::Pb, PB_STREAM_COST)]
 }
 
 /// Picks the cheapest engine under [`engine_costs`]; ties go to the
@@ -441,10 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn shallow_hubs_many_threads_pick_hybrid() {
+    fn shallow_hubs_many_threads_pick_pb() {
         // Hub mass is high but spread across many shallow hubs, and the
-        // worker count makes iHTL's per-worker merge the bottleneck: the
-        // binned hybrid sweep wins.
+        // worker count makes iHTL's per-worker merge the bottleneck
+        // (ihtl 1.04 vs pull 0.94): the binned PB sweep (0.35) wins.
+        // Single-threaded, the merge is cheap and iHTL costs 0.25.
         let f = EngineFeatures {
             n_vertices: 1 << 20,
             n_edges: 8 << 20,
@@ -454,7 +434,7 @@ mod tests {
             avg_hub_in_degree: 8.0,
             data_cache_ratio: 16.0,
         };
-        assert_eq!(pick_engine(&f, 8), EnginePick::Hybrid);
+        assert_eq!(pick_engine(&f, 8), EnginePick::Pb);
         // The same graph single-threaded keeps the buffered push.
         assert_eq!(pick_engine(&f, 1), EnginePick::Ihtl);
     }

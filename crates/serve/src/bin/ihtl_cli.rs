@@ -37,8 +37,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "engine",
         value: Some("E"),
-        help:
-            "job: ihtl|pull_grind|pull_graphit|pull_galois|push_grind|push_graphit|pb|hybrid|auto",
+        help: "job: ihtl|pull_grind|pull_graphit|pull_galois|push_grind|push_graphit|pb|auto",
     },
     FlagSpec { name: "iters", value: Some("N"), help: "job: iterations (pagerank/spmv/compare)" },
     FlagSpec { name: "source", value: Some("V"), help: "job: source vertex (bfs/sssp)" },

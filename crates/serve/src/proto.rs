@@ -278,7 +278,6 @@ pub fn engine_wire_name(kind: EngineKind) -> &'static str {
         EngineKind::PushGraphGrind => "push_grind",
         EngineKind::PushGraphIt => "push_graphit",
         EngineKind::Pb => "pb",
-        EngineKind::Hybrid => "hybrid",
     }
 }
 
@@ -703,7 +702,6 @@ mod tests {
             "push_grind",
             "push_graphit",
             "pb",
-            "hybrid",
             "auto",
         ] {
             assert!(err.contains(name), "error should list '{name}': {err}");

@@ -319,7 +319,6 @@ impl Dataset {
                 EnginePick::Pull => EngineKind::PullGraphGrind,
                 EnginePick::Ihtl => EngineKind::Ihtl,
                 EnginePick::Pb => EngineKind::Pb,
-                EnginePick::Hybrid => EngineKind::Hybrid,
             }
         });
         Ok(kind)
@@ -344,13 +343,9 @@ impl Dataset {
             return Ok(build_engine_shared(kind, self.sym_graph()?, reg.cfg()));
         }
         match (kind, &self.graph) {
-            // The three engines whose preprocessing dominates build cost go
-            // through the tiered (store-backed, demotable) artifact slots;
-            // iHTL and hybrid share one warm IhtlGraph.
+            // The two engines whose preprocessing dominates build cost go
+            // through the tiered (store-backed, demotable) artifact slots.
             (EngineKind::Ihtl, _) => Ok(Box::new(ihtl_engine_from_shared(self.ihtl_graph(reg)?))),
-            (EngineKind::Hybrid, Some(_)) => {
-                Ok(Box::new(ihtl_apps::engine::hybrid_engine_from_shared(self.ihtl_graph(reg)?)))
-            }
             (EngineKind::Pb, Some(g)) => {
                 let out_degrees: Vec<u32> =
                     (0..g.n_vertices() as u32).map(|v| g.out_degree(v) as u32).collect();
@@ -764,10 +759,9 @@ mod tests {
         let ds = r1.register("g", &rmat_source()).unwrap();
         let a_ihtl = pagerank(&ds, &r1, EngineKind::Ihtl);
         let a_pb = pagerank(&ds, &r1, EngineKind::Pb);
-        let a_hy = pagerank(&ds, &r1, EngineKind::Hybrid);
         let c1 = store.counters();
         assert_eq!(c1.hits, 0);
-        // iHTL image (shared by ihtl + hybrid) and the PB layout.
+        // The iHTL image and the PB layout.
         assert_eq!(c1.writes, 2);
 
         // "Boot" 2: a fresh registry over the same store — zero rebuilds
@@ -776,11 +770,10 @@ mod tests {
         let ds2 = r2.register("g", &rmat_source()).unwrap();
         let b_ihtl = pagerank(&ds2, &r2, EngineKind::Ihtl);
         let b_pb = pagerank(&ds2, &r2, EngineKind::Pb);
-        let b_hy = pagerank(&ds2, &r2, EngineKind::Hybrid);
         let c2 = store.counters();
         assert_eq!(c2.writes, 2, "warm boot must not rebuild anything");
         assert_eq!(c2.hits, 2);
-        for (a, b) in [(&a_ihtl, &b_ihtl), (&a_pb, &b_pb), (&a_hy, &b_hy)] {
+        for (a, b) in [(&a_ihtl, &b_ihtl), (&a_pb, &b_pb)] {
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());

@@ -44,7 +44,7 @@ pub struct ServeStats {
     /// configured idle timeout.
     pub idle_disconnects: AtomicU64,
     latency: [AtomicU64; LATENCY_BUCKETS],
-    engines: [EngineAccum; 8],
+    engines: [EngineAccum; 7],
     /// Coalesced SpMM chunks executed (one count per edge sweep).
     batch_runs: AtomicU64,
     /// Queries served by those chunks (Σ occupancy).

@@ -17,10 +17,10 @@
 # --spmm additionally runs the batched SpMM A/B (K=1/4/8 columns per edge
 # sweep) and writes results/BENCH_spmm.json; combined with --max-regress it
 # also fails unless K=8 amortizes below K=1 on at least one dataset.
-# --engines runs the four-engine A/B matrix (pull/ihtl/pb/hybrid plus the
-# auto pick) on a machine-sized suite, writing results/BENCH_engines.json;
+# --engines runs the three-engine A/B matrix (pull/ihtl/pb plus the auto
+# pick) on a machine-sized suite, writing results/BENCH_engines.json;
 # --engines-gate PCT fails unless auto lands within PCT% of the best fixed
-# engine everywhere and the binned engines beat pull on the thrashing rmat.
+# engine everywhere and pb beats pull on the thrashing rmat.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -8,14 +8,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
-echo "==> cargo test -q --offline"
-cargo test -q --offline
+# --workspace: the root package alone tests only tests/*; the member
+# crates' unit and integration tests (cost rule, lint fixtures, store,
+# registry, cachesim validation) live in crates/*.
+echo "==> cargo test -q --offline --workspace"
+cargo test -q --offline --workspace
 
-echo "==> IHTL_THREADS=1 cargo test -q --offline (sequential fallback)"
-IHTL_THREADS=1 cargo test -q --offline
+echo "==> IHTL_THREADS=1 cargo test -q --offline --workspace (sequential fallback)"
+IHTL_THREADS=1 cargo test -q --offline --workspace
 
-echo "==> IHTL_THREADS=4 cargo test -q --offline (fixed pool width)"
-IHTL_THREADS=4 cargo test -q --offline
+echo "==> IHTL_THREADS=4 cargo test -q --offline --workspace (fixed pool width)"
+IHTL_THREADS=4 cargo test -q --offline --workspace
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -54,4 +57,4 @@ bash scripts/shard_smoke.sh
 echo "==> scripts/bench.sh --samples 3 --max-regress 15 (perf + SpMM + engine-selection gates)"
 bash scripts/bench.sh --samples 3 --max-regress 15 --trace-ab --spmm --engines --engines-gate 10
 
-echo "OK: hermetic build, tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, benches, quickstart, serve smoke, store smoke, shard smoke, perf + engine gates"
+echo "OK: hermetic build, workspace tests (1/default/4 threads), fmt, lint (R1-R7 + baseline), 64-seed shuffle sweep, benches, quickstart, serve smoke, store smoke, shard smoke, perf + engine gates"

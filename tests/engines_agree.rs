@@ -131,44 +131,6 @@ fn pb_is_bitwise_pull_on_generated_graphs() {
     }
 }
 
-/// The hybrid engine reduces hub contributions in *relabeled* source order
-/// (the flipped blocks' compacted rows), so it carries the iHTL
-/// determinism doctrine: bitwise-identical to pull wherever the monoid is
-/// exact (integer-valued sums here; `min` is covered by `sssp_agrees`),
-/// tolerance-close plus bitwise-*reproducible* for non-integer floats.
-#[test]
-fn hybrid_is_bitwise_pull_on_exact_sums_and_reproducible_on_floats() {
-    for (name, g) in generated_graphs() {
-        let n = g.n_vertices();
-        // Integer-valued input: f64 addition is exact, so any reduction
-        // order must land on identical bits.
-        let x_int: Vec<f64> = (0..n).map(|i| ((i * 13) % 31) as f64).collect();
-        let spmv = |kind: EngineKind| {
-            let mut e = build_engine(kind, &g, &cfg());
-            let xe = e.from_original_order(&x_int);
-            let mut y = vec![0.0; n];
-            e.spmv_add(&xe, &mut y);
-            e.to_original_order(&y)
-        };
-        assert_bitwise(
-            &spmv(EngineKind::PullGraphGrind),
-            &spmv(EngineKind::Hybrid),
-            &format!("{name}: hybrid integer spmv"),
-        );
-        // Non-integer floats: close to pull, and bitwise-stable across
-        // repeat runs (the binned merge is schedule-independent).
-        let ranks = |kind: EngineKind| {
-            let mut e = build_engine(kind, &g, &cfg());
-            pagerank(e.as_mut(), 10).ranks
-        };
-        let pull = ranks(EngineKind::PullGraphGrind);
-        let a = ranks(EngineKind::Hybrid);
-        let b = ranks(EngineKind::Hybrid);
-        assert_close(&pull, &a, 1e-10, &format!("{name}: hybrid pagerank"));
-        assert_bitwise(&a, &b, &format!("{name}: hybrid pagerank reproducibility"));
-    }
-}
-
 #[test]
 fn components_agree_and_are_correct() {
     run_cases(CASES, 0xC03A, |rng, case| {

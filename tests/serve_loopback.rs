@@ -10,6 +10,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
+use ihtl_apps::engine::EngineKind;
 use ihtl_serve::{Json, Server, ServerConfig};
 
 /// A test client: one connection, line-in/line-out.
@@ -259,7 +260,7 @@ fn protocol_errors_keep_the_connection_usable() {
     // Engine A/B comparison over the wire: every engine agrees.
     let cmp = c.ok("{\"op\":\"job\",\"dataset\":\"g\",\"kind\":\"compare\",\"iters\":5}");
     let engines = cmp.get("engines").and_then(Json::as_arr).expect("engines");
-    assert_eq!(engines.len(), 8, "all eight engines (six paper + pb + hybrid) must report");
+    assert_eq!(engines.len(), EngineKind::all().len(), "every engine must report");
     let max_diff = cmp.get("max_abs_diff").and_then(Json::as_f64).expect("max_abs_diff");
     assert!(max_diff < 1e-9, "engines disagree: {max_diff}");
 
@@ -297,12 +298,7 @@ fn unknown_engine_error_lists_the_full_vocabulary() {
     let handle = spawn_server(ServerConfig::default());
     let mut c = Client::connect(handle.addr());
     c.ok(REGISTER);
-    let msg = c.err(
-        "{\"op\":\"job\",\"dataset\":\"g\",\"kind\":\"pagerank\",\"iters\":2,\
-         \"engine\":\"gpu\"}",
-    );
-    assert!(msg.contains("unknown engine 'gpu'"), "{msg}");
-    for name in [
+    let mut expected = [
         "ihtl",
         "pull_grind",
         "pull_graphit",
@@ -310,10 +306,20 @@ fn unknown_engine_error_lists_the_full_vocabulary() {
         "push_grind",
         "push_graphit",
         "pb",
-        "hybrid",
         "auto",
-    ] {
-        assert!(msg.contains(name), "error must list '{name}': {msg}");
+    ];
+    expected.sort_unstable();
+    // A removed engine name gets the same refusal as any unknown name.
+    for engine in ["gpu", "hybrid"] {
+        let msg = c.err(&format!(
+            "{{\"op\":\"job\",\"dataset\":\"g\",\"kind\":\"pagerank\",\"iters\":2,\
+             \"engine\":\"{engine}\"}}"
+        ));
+        assert!(msg.contains(&format!("unknown engine '{engine}'")), "{msg}");
+        let (_, listed) = msg.split_once("valid engines: ").expect("vocabulary");
+        let mut listed: Vec<&str> = listed.trim_end_matches(')').split(", ").collect();
+        listed.sort_unstable();
+        assert_eq!(listed, expected, "error must list exactly the engine vocabulary: {msg}");
     }
     // The connection survives the protocol error.
     c.ok("{\"op\":\"ping\"}");
@@ -332,7 +338,7 @@ fn auto_engine_resolves_reports_and_shares_the_cache() {
     let selected =
         first.get("engine_selected").and_then(Json::as_str).expect("engine_selected").to_string();
     assert!(
-        ["pull_grind", "ihtl", "pb", "hybrid"].contains(&selected.as_str()),
+        ["pull_grind", "ihtl", "pb"].contains(&selected.as_str()),
         "auto must resolve to a scoring-rule candidate, got '{selected}'"
     );
     assert_eq!(first.get("engine").and_then(Json::as_str), Some(selected.as_str()));

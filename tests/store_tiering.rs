@@ -80,9 +80,9 @@ fn checksum(c: &mut Client, dataset: &str, engine: &str) -> String {
     c.ok(&req).get("checksum").and_then(Json::as_str).expect("checksum").to_string()
 }
 
-/// The engines with store-backed preprocessed artifacts: `ihtl` and
-/// `hybrid` share the iHTL blocked image; `pb` has its own binned image.
-const STORED_ENGINES: &[&str] = &["ihtl", "pb", "hybrid"];
+/// The engines with store-backed preprocessed artifacts: `ihtl` loads the
+/// iHTL blocked image; `pb` has its own binned image.
+const STORED_ENGINES: &[&str] = &["ihtl", "pb"];
 
 #[test]
 fn second_boot_loads_every_engine_from_the_store() {
