@@ -101,6 +101,13 @@ pub trait SpmvEngine {
         v.to_vec()
     }
 
+    /// The engine-order index of original vertex `v` — where
+    /// [`SpmvEngine::from_original_order`] moves entry `v` (identity for
+    /// every engine except iHTL).
+    fn engine_vertex(&self, v: u32) -> usize {
+        v as usize
+    }
+
     /// Maps a vector from original vertex IDs into the engine's order.
     /// (Takes `&self` deliberately: this is a conversion the engine
     /// performs, not a constructor — hence the lint allow.)
@@ -362,11 +369,10 @@ impl<G: Borrow<Graph> + Send> SpmvEngine for PushGraphIt<G> {
 /// buffers are private per engine.
 pub struct Ihtl {
     pub ih: Arc<IhtlGraph>,
-    bufs: ThreadBuffers,
-    /// Per-column-count SpMM buffers, allocated on first use and reused
-    /// across batches of the same width (a serving engine sees the same few
-    /// K values over and over).
-    multi_bufs: Vec<(usize, ThreadBuffers)>,
+    /// Per-column-count hub buffers, K=1 (SpMV) allocated up front, wider
+    /// ones on first use and reused across batches of the same width (a
+    /// serving engine sees the same few K values over and over).
+    bufs: Vec<(usize, ThreadBuffers)>,
     out_degrees: Vec<u32>,
 }
 
@@ -376,17 +382,6 @@ impl Ihtl {
         &self.ih
     }
 
-    /// Index of the cached `k`-column buffers, allocating on first use.
-    fn multi_buf_index(&mut self, k: usize) -> usize {
-        match self.multi_bufs.iter().position(|(kk, _)| *kk == k) {
-            Some(i) => i,
-            None => {
-                self.multi_bufs.push((k, self.ih.new_buffers_multi(k)));
-                self.multi_bufs.len() - 1
-            }
-        }
-    }
-
     /// Runs one SpMV and returns the phase breakdown (Table 5's right
     /// half needs it; the trait method discards it).
     pub fn spmv_add_with_breakdown(
@@ -394,8 +389,25 @@ impl Ihtl {
         x: &[f64],
         y: &mut [f64],
     ) -> ihtl_core::ExecBreakdown {
-        self.ih.spmv::<Add>(x, y, &mut self.bufs)
+        self.ih.spmv::<Add>(x, y, bufs_for(&self.ih, &mut self.bufs, 1))
     }
+}
+
+/// The cached `k`-column buffers of an [`Ihtl`] engine, allocated on first
+/// use.
+fn bufs_for<'a>(
+    ih: &IhtlGraph,
+    bufs: &'a mut Vec<(usize, ThreadBuffers)>,
+    k: usize,
+) -> &'a mut ThreadBuffers {
+    let i = match bufs.iter().position(|(kk, _)| *kk == k) {
+        Some(i) => i,
+        None => {
+            bufs.push((k, ih.new_buffers_multi(k)));
+            bufs.len() - 1
+        }
+    };
+    &mut bufs[i].1
 }
 
 impl SpmvEngine for Ihtl {
@@ -409,10 +421,10 @@ impl SpmvEngine for Ihtl {
         &self.out_degrees
     }
     fn spmv_add(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv::<Add>(x, y, &mut self.bufs);
+        self.spmm_add(x, y, 1);
     }
     fn spmv_min(&mut self, x: &[f64], y: &mut [f64]) {
-        self.ih.spmv::<Min>(x, y, &mut self.bufs);
+        self.spmm_min(x, y, 1);
     }
     fn to_original_order(&self, v: &[f64]) -> Vec<f64> {
         self.ih.to_old_order(v)
@@ -420,21 +432,16 @@ impl SpmvEngine for Ihtl {
     fn from_original_order(&self, v: &[f64]) -> Vec<f64> {
         self.ih.to_new_order(v)
     }
+    fn engine_vertex(&self, v: u32) -> usize {
+        self.ih.old_to_new()[v as usize] as usize
+    }
     // Native SpMM: the flipped-block push, merge and sparse pull all run
     // k columns wide over one edge sweep (`IhtlGraph::spmm`).
     fn spmm_add(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_add(x, y);
-        }
-        let i = self.multi_buf_index(k);
-        self.ih.spmm::<Add>(x, y, k, &mut self.multi_bufs[i].1);
+        self.ih.spmm::<Add>(x, y, k, bufs_for(&self.ih, &mut self.bufs, k));
     }
     fn spmm_min(&mut self, x: &[f64], y: &mut [f64], k: usize) {
-        if k == 1 {
-            return self.spmv_min(x, y);
-        }
-        let i = self.multi_buf_index(k);
-        self.ih.spmm::<Min>(x, y, k, &mut self.multi_bufs[i].1);
+        self.ih.spmm::<Min>(x, y, k, bufs_for(&self.ih, &mut self.bufs, k));
     }
     fn to_original_order_multi(&self, v: &[f64], k: usize) -> Vec<f64> {
         self.ih.to_old_order_multi(v, k)
@@ -503,9 +510,9 @@ pub fn pb_engine_from_shared(pb: Arc<PbGraph>, out_degrees: Vec<u32>) -> Pb {
 /// `Arc<IhtlGraph>`, paying the paper's Table 2 preprocessing cost once per
 /// dataset rather than once per request.
 pub fn ihtl_engine_from_shared(ih: Arc<IhtlGraph>) -> Ihtl {
-    let bufs = ih.new_buffers();
+    let bufs = vec![(1, ih.new_buffers())];
     let out_degrees = ih.out_degree_new().to_vec();
-    Ihtl { ih, bufs, multi_bufs: Vec::new(), out_degrees }
+    Ihtl { ih, bufs, out_degrees }
 }
 
 #[cfg(test)]
@@ -561,7 +568,7 @@ mod tests {
         let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
         let n = 8;
         for kind in EngineKind::all() {
-            for k in [1usize, 4, 8] {
+            for k in [1usize, 2, 3, 4, 5, 8, 9] {
                 let mut e = build_engine(kind, &g, &cfg);
                 // Integer-valued columns: Add is exact under any combine
                 // grouping, so bitwise identity holds on every engine.

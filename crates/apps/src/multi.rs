@@ -17,8 +17,16 @@
 //! themselves are schedule independent (pull engines on any input; every
 //! engine under the exact-arithmetic discipline of `tests/determinism.rs`).
 
+use std::ops::Range;
+
+use ihtl_traversal::{width, with_width};
+
 use crate::engine::SpmvEngine;
 use crate::pagerank::DAMPING;
+
+/// Vertices per parallel task of the per-vertex driver passes (the solo
+/// drivers' element grain).
+const VERTEX_GRAIN: usize = 4096;
 
 /// Extracts column `j` from a `[vertex][k]` interleaved vector.
 pub fn take_column(v: &[f64], k: usize, j: usize) -> Vec<f64> {
@@ -41,6 +49,16 @@ pub fn interleave_columns(cols: &[Vec<f64>]) -> Vec<f64> {
     out
 }
 
+/// The flat `[vertex][k]` span and the vertex span of chunk `ci` (`len`
+/// values) of a `VERTEX_GRAIN * k`-chunked per-vertex pass. Slicing every
+/// operand to the chunk up front lets the row loop zip exact-size chunks:
+/// no per-element index arithmetic or bounds check, so it vectorises like
+/// the solo drivers' flat loops.
+fn chunk_spans(ci: usize, len: usize, k: usize) -> (Range<usize>, Range<usize>) {
+    let v0 = ci * VERTEX_GRAIN;
+    (v0 * k..v0 * k + len, v0..v0 + len / k)
+}
+
 /// K PageRank queries in one sweep: column `j` runs `iters` iterations
 /// with teleport seed `seeds[j]` — `None` is the uniform teleport of
 /// [`crate::pagerank::pagerank`], `Some(s)` personalises the teleport (and
@@ -55,61 +73,102 @@ pub fn pagerank_multi(
     iters: usize,
     seeds: &[Option<u32>],
 ) -> Vec<Vec<f64>> {
-    let k = seeds.len();
-    assert!(k >= 1, "pagerank_multi needs at least one column");
+    assert!(!seeds.is_empty(), "pagerank_multi needs at least one column");
+    with_width!(seeds.len(), |K| pagerank_multi_width::<K>(engine, iters, seeds))
+}
+
+/// [`pagerank_multi`] at compile-time width `K` (`K = 0`: `seeds.len()`).
+fn pagerank_multi_width<const K: usize>(
+    engine: &mut dyn SpmvEngine,
+    iters: usize,
+    seeds: &[Option<u32>],
+) -> Vec<Vec<f64>> {
+    let k = width::<K>(seeds.len());
     let n = engine.n_vertices();
     if n == 0 {
         return vec![Vec::new(); k];
     }
-    let uniform_base = (1.0 - DAMPING) / n as f64;
-    // Per-column teleport vector and initial ranks, original order first so
-    // seeds address original IDs, then permuted into engine order (a pure
-    // permutation, bitwise-transparent).
-    let mut base_orig = vec![0.0f64; n * k];
-    let mut pr_orig = vec![0.0f64; n * k];
-    for (j, seed) in seeds.iter().enumerate() {
-        match *seed {
-            None => {
-                for i in 0..n {
-                    base_orig[i * k + j] = uniform_base;
-                    pr_orig[i * k + j] = 1.0 / n as f64;
-                }
-            }
-            Some(s) => {
+    // Column `j`'s teleport vector is the scalar `base[j]` at every vertex
+    // but its seed, where it is `1 - d`: `(1 - d)/n` everywhere for a
+    // uniform column (exactly the scalar a solo run uses), 0 off the seed
+    // for a personalised one. The seeds are mapped into engine order once,
+    // as flat `[vertex][k]` indices, so no n-sized teleport vector is
+    // built, permuted or re-read every iteration.
+    let base: Vec<f64> =
+        seeds.iter().map(|s| if s.is_some() { 0.0 } else { (1.0 - DAMPING) / n as f64 }).collect();
+    let base = &base[..k];
+    let seeded: Vec<usize> = seeds
+        .iter()
+        .enumerate()
+        .filter_map(|(j, s)| {
+            s.map(|s| {
                 assert!((s as usize) < n, "seed vertex out of range");
-                base_orig[s as usize * k + j] = 1.0 - DAMPING;
-                pr_orig[s as usize * k + j] = 1.0;
-            }
+                engine.engine_vertex(s) * k + j
+            })
+        })
+        .collect();
+    let seed_rank = |sum: f64| (1.0 - DAMPING) + DAMPING * sum;
+    let contribution = |rank: f64, d: u32| if d > 0 { rank / d as f64 } else { 0.0 };
+    // Initial ranks, built directly in engine order: uniform columns hold
+    // `1/n`, personalised ones all their mass on the seed.
+    let mut pr = vec![0.0f64; n * k];
+    for (j, seed) in seeds.iter().enumerate() {
+        if seed.is_none() {
+            pr.iter_mut().skip(j).step_by(k).for_each(|p| *p = 1.0 / n as f64);
         }
     }
-    let basev = engine.from_original_order_multi(&base_orig, k);
-    let mut pr = engine.from_original_order_multi(&pr_orig, k);
+    for &at in &seeded {
+        pr[at] = 1.0;
+    }
     let mut contrib = vec![0.0f64; n * k];
     let mut sums = vec![0.0f64; n * k];
     for it in 0..iters {
         // Same fused contribution/update pass as the solo driver, k columns
-        // wide; `idx / k` is the vertex, `idx % k` the column.
+        // wide: one task per `VERTEX_GRAIN` vertices, one degree per vertex.
         let degs = engine.out_degrees();
         {
             let pr = &pr[..];
             let sums = &sums[..];
-            let basev = &basev[..];
-            ihtl_parallel::par_for_each_mut(&mut contrib, 4096, |idx, c| {
-                let d = degs[idx / k];
-                let rank = if it == 0 { pr[idx] } else { basev[idx] + DAMPING * sums[idx] };
-                *c = if d > 0 { rank / d as f64 } else { 0.0 };
+            ihtl_parallel::par_chunks_mut(&mut contrib, VERTEX_GRAIN * k, |ci, cs| {
+                let (at, vs) = chunk_spans(ci, cs.len(), k);
+                let rows = cs
+                    .chunks_exact_mut(k)
+                    .zip(pr[at.clone()].chunks_exact(k))
+                    .zip(sums[at].chunks_exact(k))
+                    .zip(&degs[vs]);
+                for (((c, p), s), &d) in rows {
+                    for j in 0..k {
+                        let rank = if it == 0 { p[j] } else { base[j] + DAMPING * s[j] };
+                        c[j] = contribution(rank, d);
+                    }
+                }
             });
+        }
+        if it > 0 {
+            for &at in &seeded {
+                contrib[at] = contribution(seed_rank(sums[at]), degs[at / k]);
+            }
         }
         engine.spmm_add(&contrib, &mut sums, k);
     }
     if iters > 0 {
         let sums = &sums[..];
-        let basev = &basev[..];
-        ihtl_parallel::par_for_each_mut(&mut pr, 4096, |idx, p| {
-            *p = basev[idx] + DAMPING * sums[idx];
+        ihtl_parallel::par_chunks_mut(&mut pr, VERTEX_GRAIN * k, |ci, ps| {
+            let (at, _) = chunk_spans(ci, ps.len(), k);
+            for (p, s) in ps.chunks_exact_mut(k).zip(sums[at].chunks_exact(k)) {
+                for j in 0..k {
+                    p[j] = base[j] + DAMPING * s[j];
+                }
+            }
         });
+        for &at in &seeded {
+            pr[at] = seed_rank(sums[at]);
+        }
     }
     let back = engine.to_original_order_multi(&pr, k);
+    if k == 1 {
+        return vec![back];
+    }
     (0..k).map(|j| take_column(&back, k, j)).collect()
 }
 
@@ -131,8 +190,17 @@ pub fn sssp_multi(
     sources: &[u32],
     max_rounds: usize,
 ) -> Vec<(Vec<f64>, usize)> {
-    let k = sources.len();
-    assert!(k >= 1, "sssp_multi needs at least one column");
+    assert!(!sources.is_empty(), "sssp_multi needs at least one column");
+    with_width!(sources.len(), |K| sssp_multi_width::<K>(engine, sources, max_rounds))
+}
+
+/// [`sssp_multi`] at compile-time width `K` (`K = 0`: `sources.len()`).
+fn sssp_multi_width<const K: usize>(
+    engine: &mut dyn SpmvEngine,
+    sources: &[u32],
+    max_rounds: usize,
+) -> Vec<(Vec<f64>, usize)> {
+    let k = width::<K>(sources.len());
     let n = engine.n_vertices();
     for &s in sources {
         assert!((s as usize) < n, "source vertex out of range");
@@ -153,10 +221,12 @@ pub fn sssp_multi(
         }
         engine.spmm_min(&bumped, &mut relaxed, k);
         let mut changed = vec![false; k];
-        for (idx, (d, &r)) in dist.iter_mut().zip(&relaxed).enumerate() {
-            if r < *d {
-                *d = r;
-                changed[idx % k] = true;
+        for (ds, rs) in dist.chunks_exact_mut(k).zip(relaxed.chunks_exact(k)) {
+            for j in 0..k {
+                if rs[j] < ds[j] {
+                    ds[j] = rs[j];
+                    changed[j] = true;
+                }
             }
         }
         rounds += 1;
@@ -252,7 +322,7 @@ mod tests {
         let g = paper_example_graph();
         let mut e = build_engine(EngineKind::PullGraphGrind, &g, &cfg());
         let solo = pagerank(e.as_mut(), 12).ranks;
-        for k in [1usize, 4, 8] {
+        for k in [1usize, 2, 3, 4, 5, 8, 9] {
             let seeds = vec![None; k];
             let cols = pagerank_multi(e.as_mut(), 12, &seeds);
             for (j, col) in cols.iter().enumerate() {
@@ -274,6 +344,56 @@ mod tests {
         // A seeded column concentrates rank around its seed's reach.
         let seeded = &cols[0];
         assert!(seeded[2] > seeded[3], "seed vertex outranks non-seed");
+        // Against a dense, textbook-order reference of the same arithmetic
+        // (the pull engine is schedule independent, so bitwise), and on
+        // every engine — iHTL relabels its vertices, so this also checks
+        // that each seed lands on its engine-order index.
+        for (j, seed) in seeds.iter().enumerate() {
+            assert_bitwise(&cols[j], &reference_pagerank(&g, 10, *seed), &format!("ref {seed:?}"));
+        }
+        for kind in EngineKind::all() {
+            let mut e = build_engine(kind, &g, &cfg());
+            let got = pagerank_multi(e.as_mut(), 10, &seeds);
+            for (j, seed) in seeds.iter().enumerate() {
+                for (v, (a, b)) in got[j].iter().zip(&cols[j]).enumerate() {
+                    assert!((a - b).abs() < 1e-12, "{kind:?} seed {seed:?} vertex {v}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    /// Solo PageRank written out densely: per iteration the contributions
+    /// from the previous sums and the teleport vector, then one serial
+    /// pull SpMV.
+    fn reference_pagerank(g: &ihtl_graph::Graph, iters: usize, seed: Option<u32>) -> Vec<f64> {
+        let n = g.n_vertices();
+        let mut base = vec![(1.0 - DAMPING) / n as f64; n];
+        let mut pr = vec![1.0 / n as f64; n];
+        if let Some(s) = seed {
+            base = vec![0.0; n];
+            base[s as usize] = 1.0 - DAMPING;
+            pr = vec![0.0; n];
+            pr[s as usize] = 1.0;
+        }
+        let mut sums = vec![0.0; n];
+        for it in 0..iters {
+            let contrib: Vec<f64> = (0..n)
+                .map(|v| {
+                    let rank = if it == 0 { pr[v] } else { base[v] + DAMPING * sums[v] };
+                    let d = g.out_degree(v as u32);
+                    if d > 0 {
+                        rank / d as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            ihtl_traversal::pull::spmv_pull_serial::<ihtl_traversal::Add>(g, &contrib, &mut sums);
+        }
+        if iters > 0 {
+            pr = (0..n).map(|v| base[v] + DAMPING * sums[v]).collect();
+        }
+        pr
     }
 
     #[test]
@@ -281,9 +401,9 @@ mod tests {
         // Min is exact on any values: bitwise identity holds on every
         // engine, batch against independent solo runs.
         let g = paper_example_graph();
-        let sources = [5u32, 0, 2, 5, 1, 6, 3, 4];
+        let sources = [5u32, 0, 2, 5, 1, 6, 3, 4, 7];
         for kind in EngineKind::all() {
-            for k in [1usize, 4, 8] {
+            for k in [1usize, 2, 3, 4, 5, 8, 9] {
                 let mut e = build_engine(kind, &g, &cfg());
                 let cols = sssp_multi(e.as_mut(), &sources[..k], 64);
                 for (j, &s) in sources[..k].iter().enumerate() {

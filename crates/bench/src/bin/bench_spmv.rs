@@ -66,7 +66,12 @@ struct DatasetResult {
 
 /// Times `f` `samples` times after one warm-up call; returns the best
 /// (minimum) seconds observed.
-fn time_best<F: FnMut()>(samples: usize, mut f: F) -> f64 {
+fn time_best<F: FnMut()>(samples: usize, f: F) -> f64 {
+    time_samples(samples, f).into_iter().fold(f64::INFINITY, f64::min)
+}
+
+/// Times `f` `samples` times after one warm-up call; returns every sample.
+fn time_samples<F: FnMut()>(samples: usize, mut f: F) -> Vec<f64> {
     f(); // warm-up
     (0..samples)
         .map(|_| {
@@ -74,7 +79,15 @@ fn time_best<F: FnMut()>(samples: usize, mut f: F) -> f64 {
             f();
             t.elapsed().as_secs_f64()
         })
-        .fold(f64::INFINITY, f64::min)
+        .collect()
+}
+
+/// First quartile, median and third quartile of `v` (nearest rank).
+fn quartiles(v: &[f64]) -> [f64; 3] {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let at = |q: f64| s[((s.len() - 1) as f64 * q).round() as usize];
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 fn bench_dataset(ds: &Dataset, samples: usize) -> DatasetResult {
@@ -142,14 +155,25 @@ fn bench_dataset(ds: &Dataset, samples: usize) -> DatasetResult {
 }
 
 /// Batched-execution A/B on one dataset: amortized ns/edge/query of the
-/// iHTL kernel at K = 1 (solo SpMV baseline) and K = 4/8 columns per edge
-/// sweep. One SpMM sweep serves K queries, so its per-query cost is its
-/// wall-clock divided by K× the edge count.
+/// iHTL kernel at K = 1, 2, 4 and 8 columns per edge sweep, every width
+/// through the one [`IhtlGraph::spmm`] kernel family (K=1 is what solo
+/// SpMV runs). One SpMM sweep serves K queries, so its per-query cost is
+/// its wall-clock divided by K× the edge count.
 struct SpmmResult {
     key: &'static str,
     n_edges: usize,
-    /// (k, best seconds per sweep, amortized ns/edge/query).
-    points: Vec<(usize, f64, f64)>,
+    points: Vec<SpmmPoint>,
+}
+
+struct SpmmPoint {
+    k: usize,
+    /// Best seconds per sweep.
+    seconds_best: f64,
+    /// Amortized ns/edge/query at the best sample.
+    ns_best: f64,
+    /// Amortized ns/edge/query at the first quartile, median and third
+    /// quartile of the samples: the spread tells a real cliff from noise.
+    ns_quartiles: [f64; 3],
 }
 
 fn bench_spmm(ds: &Dataset, samples: usize) -> SpmmResult {
@@ -159,27 +183,24 @@ fn bench_spmm(ds: &Dataset, samples: usize) -> SpmmResult {
     let m = g.n_edges();
     let ih = IhtlGraph::build(&g, &IhtlConfig::default());
     let mut points = Vec::new();
-    for k in [1usize, 4, 8] {
+    for k in [1usize, 2, 4, 8] {
         let x: Vec<f64> = (0..n * k).map(|i| ((i * 37) % 101) as f64 + 0.5).collect();
         let x_new = ih.to_new_order_multi(&x, k);
         let mut y = vec![0.0f64; n * k];
-        let sec = if k == 1 {
-            let mut bufs = ih.new_buffers();
-            time_best(samples, || {
-                let _ = ih.spmv::<Add>(&x_new, &mut y, &mut bufs);
-            })
-        } else {
-            let mut bufs = ih.new_buffers_multi(k);
-            time_best(samples, || {
-                let _ = ih.spmm::<Add>(&x_new, &mut y, k, &mut bufs);
-            })
-        };
-        let ns_per_edge_query = sec * 1e9 / (m * k) as f64;
+        let mut bufs = ih.new_buffers_multi(k);
+        let secs = time_samples(samples, || {
+            let _ = ih.spmm::<Add>(&x_new, &mut y, k, &mut bufs);
+        });
+        let per_query = |sec: f64| sec * 1e9 / (m * k) as f64;
+        let seconds_best = secs.iter().copied().fold(f64::INFINITY, f64::min);
+        let ns_quartiles = quartiles(&secs).map(per_query);
+        let ns_best = per_query(seconds_best);
         eprintln!(
-            "[bench_spmv] spmm {} k={k}: {sec:.6}s/sweep, {ns_per_edge_query:.3} ns/edge/query",
-            ds.key
+            "[bench_spmv] spmm {} k={k}: {seconds_best:.6}s/sweep, {ns_best:.3} ns/edge/query \
+             best, median {:.3} [{:.3}, {:.3}]",
+            ds.key, ns_quartiles[1], ns_quartiles[0], ns_quartiles[2]
         );
-        points.push((k, sec, ns_per_edge_query));
+        points.push(SpmmPoint { k, seconds_best, ns_best, ns_quartiles });
     }
     SpmmResult { key: ds.key, n_edges: m, points }
 }
@@ -187,7 +208,7 @@ fn bench_spmm(ds: &Dataset, samples: usize) -> SpmmResult {
 /// Per-dataset speedup of K=8 amortized cost over the K=1 baseline
 /// (> 1.0 means batching wins).
 fn spmm_k8_speedup(r: &SpmmResult) -> f64 {
-    let at = |k: usize| r.points.iter().find(|p| p.0 == k).map(|p| p.2);
+    let at = |k: usize| r.points.iter().find(|p| p.k == k).map(|p| p.ns_best);
     match (at(1), at(8)) {
         (Some(k1), Some(k8)) if k8 > 0.0 => k1 / k8,
         _ => 0.0,
@@ -197,7 +218,7 @@ fn spmm_k8_speedup(r: &SpmmResult) -> f64 {
 fn render_spmm_json(results: &[SpmmResult], samples: usize) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"ihtl-bench-spmm/v1\",\n");
+    out.push_str("  \"schema\": \"ihtl-bench-spmm/v2\",\n");
     let unix =
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_secs();
     out.push_str(&format!("  \"generated_unix\": {unix},\n"));
@@ -209,10 +230,13 @@ fn render_spmm_json(results: &[SpmmResult], samples: usize) -> String {
         out.push_str(&format!("      \"key\": \"{}\",\n", ds.key));
         out.push_str(&format!("      \"n_edges\": {},\n", ds.n_edges));
         out.push_str("      \"points\": {\n");
-        for (j, (k, sec, nspe)) in ds.points.iter().enumerate() {
+        for (j, p) in ds.points.iter().enumerate() {
+            let [q1, med, q3] = p.ns_quartiles;
             out.push_str(&format!(
-                "        \"k{k}\": {{ \"seconds_best\": {sec:.6}, \
-                 \"ns_per_edge_per_query\": {nspe:.3} }}"
+                "        \"k{}\": {{ \"seconds_best\": {:.6}, \
+                 \"ns_per_edge_per_query\": {:.3}, \"ns_median\": {med:.3}, \
+                 \"ns_q1\": {q1:.3}, \"ns_q3\": {q3:.3} }}",
+                p.k, p.seconds_best, p.ns_best
             ));
             out.push_str(if j + 1 < ds.points.len() { ",\n" } else { "\n" });
         }
@@ -627,7 +651,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "spmm",
         value: None,
-        help: "also run the batched SpMM A/B (K=1/4/8 columns per sweep)",
+        help: "also run the batched SpMM A/B (K=1/2/4/8 columns per sweep)",
     },
     FlagSpec {
         name: "spmm-out",

@@ -21,7 +21,7 @@ use std::cell::UnsafeCell;
 use std::time::Instant;
 
 use ihtl_graph::partition::VertexRange;
-use ihtl_traversal::Monoid;
+use ihtl_traversal::{width, Monoid};
 
 use crate::graph::IhtlGraph;
 
@@ -244,24 +244,65 @@ impl IhtlGraph {
     /// Returns the per-phase wall-clock breakdown. The result is identical
     /// (up to `Add` rounding) to a pull SpMV over the relabeled graph —
     /// "every edge is traversed exactly once … even though iHTL mixes push
-    /// and pull" (§2.4).
+    /// and pull" (§2.4). This is the one-column case of [`IhtlGraph::spmm`].
     pub fn spmv<M: Monoid>(
         &self,
         x: &[f64],
         y: &mut [f64],
         bufs: &mut ThreadBuffers,
     ) -> ExecBreakdown {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
+        assert_eq!(bufs.cols(), 1, "multi-column buffers need the spmm entry point");
+        self.spmm::<M>(x, y, 1, bufs)
+    }
+
+    /// One SpMM iteration in iHTL order: Algorithm 3 over `k` interleaved
+    /// value columns per vertex (row-major `[vertex][k]`), so one edge
+    /// sweep serves `k` independent queries. `x` and `y` hold `n * k`
+    /// values indexed by NEW ids: `x[v * k + j]` is vertex `v`, column `j`.
+    ///
+    /// All three phases operate on column groups: the push scatters a
+    /// source's `k` contiguous values into `k` contiguous buffer slots (one
+    /// cache line for `k <= 8`), the merge folds `k`-wide segments, and the
+    /// sparse pull amortises each neighbour gather over `k` accumulators.
+    /// Per column the combine sequence is the same at every width (identical
+    /// task list and lane count), so results match K solo runs bitwise under
+    /// the workspace's determinism discipline (exact inputs for `Add`, any
+    /// values for `Min`/`Max`). Dispatches once on `k`
+    /// ([`ihtl_traversal::with_width!`]) into the one kernel body.
+    pub fn spmm<M: Monoid>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        bufs: &mut ThreadBuffers,
+    ) -> ExecBreakdown {
+        ihtl_traversal::with_width!(k, |K| self.spmm_width::<M, K>(x, y, k, bufs))
+    }
+
+    /// The kernel body of [`IhtlGraph::spmm`] at compile-time width `K`
+    /// (`K = 0`: width `k`, read at run time).
+    fn spmm_width<M: Monoid, const K: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        bufs: &mut ThreadBuffers,
+    ) -> ExecBreakdown {
+        let w = width::<K>(k);
+        assert!(w >= 1, "spmm needs at least one column");
+        assert_eq!(x.len(), self.n * w);
+        assert_eq!(y.len(), self.n * w);
         assert_eq!(bufs.width(), self.n_hubs, "buffers sized for a different graph");
         assert_eq!(bufs.n_blocks(), self.blocks.len(), "buffers built for a different blocking");
-        assert_eq!(bufs.cols(), 1, "multi-column buffers need the spmm entry point");
+        assert_eq!(bufs.cols(), w, "buffers allocated for a different column count");
+        assert!(self.n * w <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
         let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("ihtl_spmv");
+        let _iter_span =
+            ihtl_trace::span(if w == 1 { "ihtl_spmv" } else { "ihtl_spmm" }).with_arg(w as u64);
 
         // --- Phase 1: buffered push over flipped blocks. ---
         // No up-front reset: the generation bump invalidates every segment,
-        // and each (worker × block) segment is reset on first touch below.
+        // and each (lane × block) segment is reset on first touch below.
         // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
         let t = Instant::now();
         let phase_span = ihtl_trace::span("fb_push");
@@ -285,7 +326,7 @@ impl IhtlGraph {
                     // First touch of this block by this lane this iteration:
                     // reset exactly its segment of the buffer.
                     wb.block_gen[b as usize] = gen;
-                    for slot in &mut wb.data[base..blk.hub_end as usize] {
+                    for slot in &mut wb.data[base * w..blk.hub_end as usize * w] {
                         *slot = M::identity();
                     }
                 }
@@ -303,20 +344,35 @@ impl IhtlGraph {
                 for row in range.iter() {
                     // SAFETY: push-task ranges lie within the block's
                     // compacted rows and offsets are monotone ending at
-                    // `targets.len()`; `srcs[row] < n_active <= n ==
-                    // x.len()`; targets are block-local hub indices
-                    // `< n_block_hubs`, so `base + local < hub_end <=
-                    // n_hubs == wb.data.len()`.
+                    // `targets.len()`; `srcs[row] < n_active <= n`, so the
+                    // column reads span `u * w .. u * w + w <= n * w ==
+                    // x.len()`; targets are block-local hub indices `<
+                    // n_block_hubs`, so the scatter spans `(base + local) *
+                    // w .. + w`, within the `n_hubs * w` slots (`cols == w`
+                    // asserted above).
                     unsafe {
                         let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize);
-                        debug_assert!((u as usize) < x.len());
-                        let xu = *x.get_unchecked(u as usize);
+                        let u = *blk.srcs.get_unchecked(row as usize) as usize;
+                        debug_assert!(u * w + w <= x.len());
+                        // A constant width copies the source's columns into
+                        // registers once, ahead of the scatter: the buffer
+                        // writes could otherwise alias `x` for the compiler,
+                        // forcing a reload per target.
+                        let mut xcols = [0.0f64; K];
+                        let xs = x.get_unchecked(u * w..u * w + w);
+                        let xs: &[f64] = if K == 0 {
+                            xs
+                        } else {
+                            xcols.copy_from_slice(xs);
+                            &xcols
+                        };
                         for &local in targets.get_unchecked(s..e) {
-                            let slot = base + local as usize;
-                            debug_assert!(slot < wb.data.len());
-                            let p = wb.data.get_unchecked_mut(slot);
-                            *p = M::combine(*p, xu);
+                            let slot = (base + local as usize) * w;
+                            debug_assert!(slot + w <= wb.data.len());
+                            let ps = wb.data.get_unchecked_mut(slot..slot + w);
+                            for (p, &xv) in ps.iter_mut().zip(xs) {
+                                *p = M::combine(*p, xv);
+                            }
                         }
                         s = e;
                     }
@@ -334,8 +390,9 @@ impl IhtlGraph {
         breakdown.dirty_segments = bufs.count_dirty_segments();
         breakdown.total_segments = n_bufs * self.blocks.len();
         {
-            let (hub_y, _) = y.split_at_mut(self.n_hubs);
-            let mut slices = split_ranges_iter(hub_y, self.merge_tasks.iter().map(|&(_, r)| r));
+            let (hub_y, _) = y.split_at_mut(self.n_hubs * w);
+            let mut slices =
+                split_ranges_iter(hub_y, self.merge_tasks.iter().map(|&(_, r)| scale_range(r, w)));
             let bufs = &*bufs;
             ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
                 let (b, range) = self.merge_tasks[p];
@@ -349,15 +406,16 @@ impl IhtlGraph {
                 // skipping it preserves the result and the combine order.
                 // Lane membership is schedule-independent, so this fold's
                 // grouping — and the bitwise result — is too.
+                let start = range.start as usize * w;
                 for t in 0..n_bufs {
                     if !bufs.is_dirty(t, b as usize) {
                         continue;
                     }
                     for (i, slot) in out.iter_mut().enumerate() {
                         // SAFETY: `t < n_bufs`; merge-task ranges lie within
-                        // `0..n_hubs`, and the stamp check above makes this
-                        // segment's data current.
-                        let v = unsafe { bufs.read_unchecked(t, range.start as usize + i) };
+                        // `0..n_hubs`, so the flat slots lie within
+                        // `n_hubs * w`; the stamp check makes them current.
+                        let v = unsafe { bufs.read_unchecked(t, start + i) };
                         *slot = M::combine(*slot, v);
                     }
                 }
@@ -371,163 +429,18 @@ impl IhtlGraph {
         let t = Instant::now();
         let phase_span = ihtl_trace::span("sparse_pull");
         {
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs);
-            let mut slices = crate::exec::split_ranges(sparse_y, &self.sparse_tasks);
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                // Sparse targets are new source IDs `< n == x.len()`,
-                // which is what the shared kernel's unchecked gather needs.
-                ihtl_traversal::pull::pull_rows_into::<M>(
-                    &self.sparse,
-                    x,
-                    self.sparse_tasks[p],
-                    out,
-                );
-            });
-        }
-        drop(phase_span);
-        breakdown.pull_seconds = t.elapsed().as_secs_f64();
-        breakdown
-    }
-
-    /// One SpMM iteration in iHTL order: [`IhtlGraph::spmv`] generalised to
-    /// `k` interleaved value columns per vertex (row-major `[vertex][k]`),
-    /// so one edge sweep serves `k` independent queries. `x` and `y` hold
-    /// `n * k` values indexed by NEW ids: `x[v * k + j]` is vertex `v`,
-    /// column `j`.
-    ///
-    /// All three phases operate on column groups: the push scatters a
-    /// source's `k` contiguous values into `k` contiguous buffer slots (one
-    /// cache line for `k <= 8`), the merge folds `k`-wide segments, and the
-    /// sparse pull amortises each neighbour gather over `k` accumulators.
-    /// Per column the combine sequence is exactly the one [`IhtlGraph::spmv`]
-    /// would perform under the same lane partition (identical task list and
-    /// lane count), so results match K solo runs bitwise under the
-    /// workspace's determinism discipline (exact inputs for `Add`, any
-    /// values for `Min`/`Max`).
-    pub fn spmm<M: Monoid>(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        k: usize,
-        bufs: &mut ThreadBuffers,
-    ) -> ExecBreakdown {
-        assert!(k >= 1, "spmm needs at least one column");
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        assert_eq!(bufs.width(), self.n_hubs, "buffers sized for a different graph");
-        assert_eq!(bufs.n_blocks(), self.blocks.len(), "buffers built for a different blocking");
-        assert_eq!(bufs.cols(), k, "buffers allocated for a different column count");
-        assert!(self.n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
-        let mut breakdown = ExecBreakdown::default();
-        let _iter_span = ihtl_trace::span("ihtl_spmm").with_arg(k as u64);
-
-        // --- Phase 1: buffered push over flipped blocks, k columns wide. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("fb_push");
-        bufs.begin_iteration();
-        let gen = bufs.generation;
-        // Same deterministic lane partition as the SpMV push: buffers are
-        // keyed by lane, not by claiming worker, so per column the combine
-        // grouping is schedule-independent.
-        let lanes = lane_partition(self.push_tasks.len(), bufs.n_buffers());
-        ihtl_parallel::par_for_each(&lanes, 1, |lane, tasks| {
-            let wb = bufs.lane_buffer(lane);
-            for &(b, range) in &self.push_tasks[tasks.clone()] {
-                let _task_span = ihtl_trace::span("push_task").with_arg(b as u64);
-                let blk = &self.blocks[b as usize];
-                let base = blk.hub_start as usize;
-                if wb.block_gen[b as usize] != gen {
-                    wb.block_gen[b as usize] = gen;
-                    for slot in &mut wb.data[base * k..blk.hub_end as usize * k] {
-                        *slot = M::identity();
-                    }
-                }
-                let offsets = blk.edges.offsets();
-                let targets = blk.edges.targets();
-                debug_assert!((range.end as usize) <= blk.srcs.len());
-                let mut s = offsets[range.start as usize] as usize;
-                for row in range.iter() {
-                    // SAFETY: same structural invariants as the SpMV push;
-                    // the column reads span `u * k .. u * k + k <= n * k ==
-                    // x.len()` and the scatter spans `(base + local) * k ..
-                    // + k`, within the `n_hubs * k` slots (`cols == k`
-                    // asserted above).
-                    unsafe {
-                        let e = *offsets.get_unchecked(row as usize + 1) as usize;
-                        let u = *blk.srcs.get_unchecked(row as usize) as usize;
-                        debug_assert!(u * k + k <= x.len());
-                        let xs = x.get_unchecked(u * k..u * k + k);
-                        for &local in targets.get_unchecked(s..e) {
-                            let slot = (base + local as usize) * k;
-                            debug_assert!(slot + k <= wb.data.len());
-                            let ps = wb.data.get_unchecked_mut(slot..slot + k);
-                            for (p, &xv) in ps.iter_mut().zip(xs) {
-                                *p = M::combine(*p, xv);
-                            }
-                        }
-                        s = e;
-                    }
-                }
-            }
-        });
-        drop(phase_span);
-        breakdown.fb_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 2: merge thread buffers, k columns per hub. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("fb_merge");
-        let n_bufs = bufs.n_buffers();
-        breakdown.dirty_segments = bufs.count_dirty_segments();
-        breakdown.total_segments = n_bufs * self.blocks.len();
-        {
-            let (hub_y, _) = y.split_at_mut(self.n_hubs * k);
-            let mut slices =
-                split_ranges_iter(hub_y, self.merge_tasks.iter().map(|&(_, r)| scale_range(r, k)));
-            let bufs = &*bufs;
-            ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                let (b, range) = self.merge_tasks[p];
-                let _task_span = ihtl_trace::span("merge_task").with_arg(b as u64);
-                for slot in out.iter_mut() {
-                    *slot = M::identity();
-                }
-                // Same lane order (ascending) and clean-segment skipping
-                // as the SpMV merge — per column the combine order matches.
-                let start = range.start as usize * k;
-                for t in 0..n_bufs {
-                    if !bufs.is_dirty(t, b as usize) {
-                        continue;
-                    }
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        // SAFETY: `t < n_bufs`; merge-task ranges lie within
-                        // `0..n_hubs`, so the flat slots lie within
-                        // `n_hubs * k`; the stamp check makes them current.
-                        let v = unsafe { bufs.read_unchecked(t, start + i) };
-                        *slot = M::combine(*slot, v);
-                    }
-                }
-            });
-        }
-        drop(phase_span);
-        breakdown.merge_seconds = t.elapsed().as_secs_f64();
-
-        // --- Phase 3: pull over the sparse block, k accumulators per row. ---
-        // lint:allow(R4): phase timing feeds ExecBreakdown (Table 5), not values
-        let t = Instant::now();
-        let phase_span = ihtl_trace::span("sparse_pull");
-        {
-            let (_, sparse_y) = y.split_at_mut(self.n_hubs * k);
+            let (_, sparse_y) = y.split_at_mut(self.n_hubs * w);
             let scaled: Vec<VertexRange> =
-                self.sparse_tasks.iter().map(|&r| scale_range(r, k)).collect();
+                self.sparse_tasks.iter().map(|&r| scale_range(r, w)).collect();
             let mut slices = split_ranges(sparse_y, &scaled);
             ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
                 let _task_span = ihtl_trace::span("pull_task").with_arg(p as u64);
-                ihtl_traversal::pull::pull_rows_into_multi::<M>(
+                // Sparse targets are new source IDs `< n`, which is what
+                // the shared kernel's unchecked gather needs.
+                ihtl_traversal::pull::pull_rows_into::<M, K>(
                     &self.sparse,
                     x,
-                    k,
+                    w,
                     self.sparse_tasks[p],
                     out,
                 );
@@ -605,9 +518,10 @@ impl IhtlGraph {
             let (_, sparse_y) = y.split_at_mut(self.n_hubs);
             let mut slices = split_ranges(sparse_y, &self.sparse_tasks);
             ihtl_parallel::par_for_each_mut(&mut slices, 1, |p, out| {
-                ihtl_traversal::pull::pull_rows_into::<M>(
+                ihtl_traversal::pull::pull_rows_into::<M, 1>(
                     &self.sparse,
                     x,
+                    1,
                     self.sparse_tasks[p],
                     out,
                 );
@@ -850,7 +764,7 @@ mod tests {
     fn spmm_columns_match_solo_spmv_bitwise() {
         let g = paper_example_graph();
         let cfg = IhtlConfig { cache_budget_bytes: 16, ..IhtlConfig::default() };
-        for k in [1usize, 2, 4, 8] {
+        for k in [1usize, 2, 3, 4, 5, 8, 9] {
             check_spmm_matches_solo_bitwise::<Add>(&g, &cfg, k);
             check_spmm_matches_solo_bitwise::<Min>(&g, &cfg, k);
         }

@@ -33,7 +33,7 @@ use std::time::Duration;
 use ihtl_apps::{run_job, SpmvEngine};
 use ihtl_serve::line::{error_reply, ok_reply, render_line, serve_lines, Closed, MAX_LINE_BYTES};
 use ihtl_serve::proto::{EngineChoice, GraphSource, GraphView, Monoid, Op, Request, WireJob};
-use ihtl_serve::{fnv1a_checksum, Json};
+use ihtl_serve::{fnv1a_checksum, top_k_json, Json};
 
 /// Router configuration.
 #[derive(Clone, Debug)]
@@ -775,19 +775,7 @@ fn handle_job(
         ("shards".to_string(), Json::from(entry.ranges.len())),
     ];
     if top_k > 0 {
-        let mut idx: Vec<usize> = (0..out.values.len()).collect();
-        idx.sort_by(|&a, &b| {
-            out.values[b]
-                .partial_cmp(&out.values[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let top: Vec<Json> = idx
-            .into_iter()
-            .take(top_k)
-            .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(out.values[i]))]))
-            .collect();
-        pairs.push(("top".to_string(), Json::Arr(top)));
+        pairs.push(("top".to_string(), top_k_json(&out.values, top_k)));
     }
     if include_values {
         pairs.push((

@@ -53,7 +53,7 @@ pub use cache::ResultCache;
 pub use json::Json;
 pub use registry::Registry;
 pub use sched::{JobError, Scheduler, SubmitError};
-pub use server::{fnv1a_checksum, Server, ServerConfig, ServerHandle};
+pub use server::{fnv1a_checksum, top_k_json, Server, ServerConfig, ServerHandle};
 pub use stats::ServeStats;
 
 /// Locks `m`, recovering from poisoning. Every value guarded by a mutex in

@@ -1012,19 +1012,7 @@ fn job_body(
         ("checksum".to_string(), Json::from(fnv1a_checksum(&out.values))),
     ];
     if top_k > 0 {
-        let mut idx: Vec<usize> = (0..out.values.len()).collect();
-        idx.sort_by(|&a, &b| {
-            out.values[b]
-                .partial_cmp(&out.values[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let top: Vec<Json> = idx
-            .into_iter()
-            .take(top_k)
-            .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(out.values[i]))]))
-            .collect();
-        pairs.push(("top".to_string(), Json::Arr(top)));
+        pairs.push(("top".to_string(), top_k_json(&out.values, top_k)));
     }
     if include_values {
         pairs.push((
@@ -1033,6 +1021,37 @@ fn job_body(
         ));
     }
     Json::Obj(pairs)
+}
+
+/// A reply's `top` array: the `k` highest-valued vertices as `{vertex,
+/// value}` objects, value descending, ties by vertex ascending — exactly
+/// the first `k` of a full sort of every vertex.
+pub fn top_k_json(values: &[f64], k: usize) -> Json {
+    let top = top_k_vertices(values, k)
+        .into_iter()
+        .map(|i| Json::obj([("vertex", Json::from(i)), ("value", Json::Num(values[i]))]))
+        .collect();
+    Json::Arr(top)
+}
+
+/// The first `k` vertices in (value descending, vertex ascending) order,
+/// found in O(n + k log k): a selection moves the `k` winners to the front,
+/// and only they are sorted. On NaN-free values the vertex tie-break makes
+/// the order total, so the winners and their order equal a full sort's.
+fn top_k_vertices(values: &[f64], k: usize) -> Vec<usize> {
+    let by_rank = |&a: &usize, &b: &usize| {
+        values[b].partial_cmp(&values[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut idx: Vec<usize> = (0..values.len()).collect();
+    if k < idx.len() {
+        idx.select_nth_unstable_by(k - 1, by_rank);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(by_rank);
+    idx
 }
 
 /// FNV-1a over the little-endian bit patterns of the vector, rendered as
@@ -1059,5 +1078,45 @@ mod tests {
         assert_eq!(a.len(), 16);
         // 0.0 and -0.0 differ in bits, so they must differ in checksum.
         assert_ne!(fnv1a_checksum(&[0.0]), fnv1a_checksum(&[-0.0]));
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_full_sort() {
+        let full_sort = |values: &[f64], k: usize| {
+            let mut idx: Vec<usize> = (0..values.len()).collect();
+            idx.sort_by(|&a, &b| {
+                values[b]
+                    .partial_cmp(&values[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            idx.truncate(k);
+            idx
+        };
+        let inf = f64::INFINITY;
+        let cases: [&[f64]; 5] = [
+            // Ties straddling every cut, so the vertex tie-break decides.
+            &[0.5, 0.25, 0.5, 0.5, 0.125, 0.25, 0.5, 0.25],
+            &[-inf, 1.0, inf, 0.0, -0.0, inf, -inf, 1.0, -2.5],
+            &[3.0; 7],
+            &[7.0],
+            &[],
+        ];
+        for values in cases {
+            let n = values.len();
+            for k in [0, 1, n.saturating_sub(1), n, n + 5].into_iter().chain(2..n) {
+                let label = format!("values {values:?} k={k}");
+                let want = full_sort(values, k);
+                assert_eq!(top_k_vertices(values, k), want, "{label}");
+                let expect = Json::Arr(
+                    want.iter()
+                        .map(|&i| {
+                            Json::obj([("vertex", Json::from(i)), ("value", Json::Num(values[i]))])
+                        })
+                        .collect(),
+                );
+                assert_eq!(top_k_json(values, k).to_string(), expect.to_string(), "{label}");
+            }
+        }
     }
 }

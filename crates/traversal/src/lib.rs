@@ -25,6 +25,58 @@ pub mod push;
 
 pub use monoid::{Add, Max, Min, Monoid};
 
+/// Column width of a kernel instantiated for `const K`: `K` itself, or the
+/// runtime `k` in the `K = 0` instantiation that serves every width
+/// [`with_width!`] has no constant for.
+#[inline(always)]
+pub fn width<const K: usize>(k: usize) -> usize {
+    debug_assert!(K == 0 || K == k, "K = {K} instantiation called with k = {k}");
+    if K == 0 {
+        k
+    } else {
+        K
+    }
+}
+
+/// Dispatches once on a runtime column count: binds `const $K: usize` to
+/// `$k` for the widths 1, 2, 4 and 8 (each its own instantiation, so the
+/// per-vertex column loops unroll and K=1 compiles to the scalar loop) and
+/// to 0 for every other width, then evaluates `$body`. Kernels read their
+/// width through [`width`], so one body serves every case.
+///
+/// ```
+/// fn cols<const K: usize>(k: usize) -> usize { ihtl_traversal::width::<K>(k) }
+/// assert_eq!(ihtl_traversal::with_width!(4, |K| cols::<K>(4)), 4);
+/// assert_eq!(ihtl_traversal::with_width!(3, |K| cols::<K>(3)), 3);
+/// ```
+#[macro_export]
+macro_rules! with_width {
+    ($k:expr, |$K:ident| $body:expr) => {
+        match $k {
+            1 => {
+                const $K: usize = 1;
+                $body
+            }
+            2 => {
+                const $K: usize = 2;
+                $body
+            }
+            4 => {
+                const $K: usize = 4;
+                $body
+            }
+            8 => {
+                const $K: usize = 8;
+                $body
+            }
+            _ => {
+                const $K: usize = 0;
+                $body
+            }
+        }
+    };
+}
+
 /// Splits a mutable slice into the disjoint sub-slices described by
 /// contiguous vertex ranges, so the parallel runtime can hand each range to
 /// a worker without aliasing.

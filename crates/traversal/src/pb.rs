@@ -33,7 +33,7 @@ use ihtl_graph::partition::{edge_balanced_ranges, VertexRange};
 use ihtl_graph::{EdgeIndex, Graph, VertexId};
 
 use crate::monoid::{as_atomic_slice, Monoid};
-use crate::split_by_ranges;
+use crate::{split_by_ranges, width};
 
 /// The prepared propagation-blocking layout: edge-balanced source ranges,
 /// per-`(range, segment)` bin extents, and the precomputed (topology-only)
@@ -176,23 +176,36 @@ impl PbGraph {
     /// K-column PB SpMM over interleaved columns (`x[u * k + j]` = vertex
     /// `u`, column `j`). Column `j` is bitwise identical to a solo
     /// [`PbGraph::spmv`] over column `j`: every edge's slot is fixed, and
-    /// the merge replays each column in the same order.
+    /// the merge replays each column in the same order. Dispatches once on
+    /// `k` ([`crate::with_width!`]) into the one bin/merge body.
     pub fn spmm<M: Monoid>(&self, x: &[f64], y: &mut [f64], k: usize, values: &mut Vec<f64>) {
-        assert!(k >= 1);
-        assert_eq!(x.len(), self.n * k);
-        assert_eq!(y.len(), self.n * k);
-        let _span = ihtl_trace::span("pb_spmv").with_arg(k as u64);
+        crate::with_width!(k, |K| self.spmm_width::<M, K>(x, y, k, values))
+    }
+
+    /// The bin/merge body at compile-time width `K` (`K = 0`: width `k`).
+    fn spmm_width<M: Monoid, const K: usize>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        k: usize,
+        values: &mut Vec<f64>,
+    ) {
+        let w = width::<K>(k);
+        assert!(w >= 1);
+        assert_eq!(x.len(), self.n * w);
+        assert_eq!(y.len(), self.n * w);
+        let _span = ihtl_trace::span("pb_spmv").with_arg(w as u64);
         // The bin phase overwrites every slot, so reuse needs no reset —
         // resizing only when `k` changes avoids an O(m·k) memset per call.
-        if values.len() != self.m * k {
+        if values.len() != self.m * w {
             values.clear();
-            values.resize(self.m * k, 0.0);
+            values.resize(self.m * w, 0.0);
         }
 
         // --- Bin phase: stream the out-edges, appending contributions. ---
         {
             let _bin = ihtl_trace::span("pb_bin");
-            // Each edge owns the distinct slot range `edge_pos[e] * k ..+k`,
+            // Each edge owns the distinct slot range `edge_pos[e] * w ..+w`,
             // so the scattered stores are race-free; the atomic view only
             // provides the unsynchronised shared mutability (plain relaxed
             // stores, no CAS), exactly as in `pull::spmv_pull_segmented`.
@@ -204,14 +217,23 @@ impl PbGraph {
                 let mut s = offsets[range.start as usize] as usize;
                 for u in range.iter() {
                     // SAFETY: `u + 1 <= range.end <= n` and offsets are
-                    // monotone ending at `m`; `x` spans `n * k` (asserted
+                    // monotone ending at `m`; `x` spans `n * w` (asserted
                     // above); `edge_pos[e] < m` by construction, so the
-                    // slot index is `< m * k == slots.len()`.
+                    // slot index is `< m * w == slots.len()`.
                     unsafe {
                         let e = *offsets.get_unchecked(u as usize + 1) as usize;
-                        let xr = x.get_unchecked(u as usize * k..u as usize * k + k);
+                        // A constant width copies the source's columns into
+                        // registers once, ahead of the scatter.
+                        let mut xcols = [0.0f64; K];
+                        let xr = x.get_unchecked(u as usize * w..u as usize * w + w);
+                        let xr: &[f64] = if K == 0 {
+                            xr
+                        } else {
+                            xcols.copy_from_slice(xr);
+                            &xcols
+                        };
                         for &p in edge_pos.get_unchecked(s..e) {
-                            let base = p as usize * k;
+                            let base = p as usize * w;
                             for (j, &xv) in xr.iter().enumerate() {
                                 // ORDERING: Relaxed — disjoint slots per
                                 // worker; the region join publishes.
@@ -231,7 +253,7 @@ impl PbGraph {
         let seg_ranges = self.segment_ranges();
         let scaled: Vec<VertexRange> = seg_ranges
             .iter()
-            .map(|r| VertexRange { start: r.start * k as u32, end: r.end * k as u32 })
+            .map(|r| VertexRange { start: r.start * w as u32, end: r.end * w as u32 })
             .collect();
         let mut out_slices = split_by_ranges(y, &scaled);
         let values = &values[..];
@@ -240,18 +262,18 @@ impl PbGraph {
             for slot in out.iter_mut() {
                 *slot = M::identity();
             }
-            let seg_base = seg_ranges[si].start as usize * k;
+            let seg_base = seg_ranges[si].start as usize * w;
             for r in 0..self.ranges.len() {
                 let lo = self.bin_offsets[r * self.n_segments + si] as usize;
                 let hi = self.bin_offsets[r * self.n_segments + si + 1] as usize;
                 // SAFETY: bin `(r, si)` holds only destinations of segment
-                // `si`, so `dst * k - seg_base + j < out.len()`; slot
-                // indices are `< m * k == values.len()` (construction).
+                // `si`, so `dst * w - seg_base + j < out.len()`; slot
+                // indices are `< m * w == values.len()` (construction).
                 unsafe {
                     for (p, &dst) in self.binned_dst.get_unchecked(lo..hi).iter().enumerate() {
-                        let ob = dst as usize * k - seg_base;
-                        let vb = (lo + p) * k;
-                        for j in 0..k {
+                        let ob = dst as usize * w - seg_base;
+                        let vb = (lo + p) * w;
+                        for j in 0..w {
                             let slot = out.get_unchecked_mut(ob + j);
                             *slot = M::combine(*slot, *values.get_unchecked(vb + j));
                         }
@@ -565,7 +587,7 @@ mod tests {
         let g = random_graph(&mut rng, 64, 300);
         let n = g.n_vertices();
         let pb = PbGraph::with_parts(&g, 64, 8, 3);
-        for k in [1usize, 3, 4, 8] {
+        for k in [1usize, 2, 3, 4, 5, 8, 9] {
             let cols: Vec<Vec<f64>> = (0..k)
                 .map(|j| (0..n).map(|i| (i * (j + 2)) as f64 * 0.37 + 0.1).collect())
                 .collect();

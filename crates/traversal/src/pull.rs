@@ -8,7 +8,7 @@ use ihtl_graph::partition::{edge_balanced_ranges, VertexRange};
 use ihtl_graph::{Csr, Graph, VertexId};
 
 use crate::monoid::Monoid;
-use crate::split_by_ranges;
+use crate::{split_by_ranges, width};
 
 /// Sequential reference pull SpMV — the ground truth every other kernel
 /// (including iHTL) is tested against.
@@ -28,16 +28,10 @@ pub fn spmv_pull<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64]) {
     spmv_pull_with_parts::<M>(g, x, y, default_parts());
 }
 
-/// [`spmv_pull`] with an explicit partition count.
+/// [`spmv_pull`] with an explicit partition count: the one-column case of
+/// [`spmv_pull_multi_with_parts`].
 pub fn spmv_pull_with_parts<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], parts: usize) {
-    assert_eq!(x.len(), g.n_vertices());
-    assert_eq!(y.len(), g.n_vertices());
-    let _span = ihtl_trace::span("pull_spmv");
-    let ranges = edge_balanced_ranges(g.csc(), parts);
-    let mut slices = split_by_ranges(y, &ranges);
-    ihtl_parallel::par_for_each_mut(&mut slices, 1, |i, out| {
-        pull_range::<M>(g.csc(), x, ranges[i], out);
-    });
+    spmv_pull_multi_with_parts::<M>(g, x, y, 1, parts);
 }
 
 /// Galois-style pull: vertices processed in small fixed-size chunks that the
@@ -52,85 +46,74 @@ pub fn spmv_pull_chunked<M: Monoid>(g: &Graph, x: &[f64], y: &mut [f64], chunk: 
     ihtl_parallel::par_chunks_mut(y, chunk, |i, out| {
         let start = (i * chunk) as VertexId;
         let range = VertexRange { start, end: start + out.len() as VertexId };
-        pull_range::<M>(csc, x, range, out);
+        pull_rows_into::<M, 1>(csc, x, 1, range, out);
     });
 }
 
-fn pull_range<M: Monoid>(csc: &Csr, x: &[f64], range: VertexRange, out: &mut [f64]) {
-    pull_rows_into::<M>(csc, x, range, out);
-}
-
-/// Folds rows `[range.start, range.end)` of `csc` over `x` into `out`
-/// (`out[i]` receives row `range.start + i`) — the shared inner kernel of
-/// every pull-shaped phase, including iHTL's sparse block. Bounds are
-/// checked once per range here; the per-edge loop runs unchecked on the
-/// structural invariants `Csr::from_parts` validates (monotone offsets
-/// ending at `targets.len()`, targets `< n_cols`).
+/// Folds rows `[range.start, range.end)` of `csc` over `x` into `out`, `k`
+/// interleaved value columns per vertex (row-major `[vertex][k]`, so one
+/// vertex's columns share a cache line): `out[i * k + j]` receives row
+/// `range.start + i`, column `j`. This is the shared inner kernel of every
+/// pull-shaped phase, including iHTL's sparse block, at every width.
 ///
+/// `K` is the compile-time width ([`crate::with_width!`] picks it); the
+/// `K = 0` instantiation reads `k` at run time. With a constant width each
+/// row accumulates in a stack array the compiler keeps in registers, so
+/// K=1 is the scalar fold. Per column the fold visits the same neighbours
+/// in the same list order at every width, so column `j` of the result is
+/// bitwise identical to a one-column run over column `j` — the gather of a
+/// neighbour's cache line is simply amortised over `k` queries.
+///
+/// Bounds are checked once per range here; the per-edge loop runs
+/// unchecked on the structural invariants `Csr::from_parts` validates
+/// (monotone offsets ending at `targets.len()`, targets `< n_cols`).
 /// Deliberately a plain in-order loop: software prefetch and unrolled
 /// multi-accumulator variants were tried and measured slower — the graphs
 /// are LLC-resident, so hint instructions just contend with the gather
 /// loads on the load ports, and short adjacency lists pay more remainder
 /// overhead than latency they hide.
-pub fn pull_rows_into<M: Monoid>(csc: &Csr, x: &[f64], range: VertexRange, out: &mut [f64]) {
-    assert!(range.end as usize <= csc.n_rows());
-    assert!(csc.n_cols() <= x.len());
-    assert_eq!(out.len(), (range.end - range.start) as usize);
-    let offsets = csc.offsets();
-    let targets = csc.targets();
-    // Rows are consecutive, so each row's end offset is the next row's
-    // start — carry it forward instead of re-loading both bounds per row.
-    let mut s = offsets[range.start as usize] as usize;
-    for (v, slot) in range.iter().zip(out.iter_mut()) {
-        // SAFETY: `v + 1 <= range.end <= n_rows` and offsets are monotone
-        // ending at `targets.len()`; targets are `< n_cols <= x.len()`
-        // (asserted above), covering `fold_neighbours`.
-        unsafe {
-            let e = *offsets.get_unchecked(v as usize + 1) as usize;
-            *slot = M::fold_neighbours(M::identity(), targets.get_unchecked(s..e), x);
-            s = e;
-        }
-    }
-}
-
-/// Multi-column (SpMM) variant of [`pull_rows_into`]: `x` and `out` hold
-/// `k` interleaved columns per vertex (row-major `[vertex][k]`, so one
-/// vertex's columns share a cache line), and `out[i * k + j]` receives row
-/// `range.start + i`, column `j`.
-///
-/// Per column the fold visits the same neighbours in the same list order as
-/// the single-column kernel, so column `j` of the result is bitwise
-/// identical to a solo [`pull_rows_into`] over column `j` — the gather of a
-/// neighbour's cache line is simply amortised over `k` queries.
-pub fn pull_rows_into_multi<M: Monoid>(
+pub fn pull_rows_into<M: Monoid, const K: usize>(
     csc: &Csr,
     x: &[f64],
     k: usize,
     range: VertexRange,
     out: &mut [f64],
 ) {
-    assert!(k >= 1);
+    let w = width::<K>(k);
+    assert!(w >= 1, "pull needs at least one column");
     assert!(range.end as usize <= csc.n_rows());
-    assert!(csc.n_cols() * k <= x.len());
-    assert_eq!(out.len(), (range.end - range.start) as usize * k);
+    assert!(csc.n_cols() * w <= x.len());
+    assert_eq!(out.len(), (range.end - range.start) as usize * w);
     let offsets = csc.offsets();
     let targets = csc.targets();
+    // Rows are consecutive, so each row's end offset is the next row's
+    // start — carry it forward instead of re-loading both bounds per row.
     let mut s = offsets[range.start as usize] as usize;
-    for (v, slots) in range.iter().zip(out.chunks_exact_mut(k)) {
-        for slot in slots.iter_mut() {
-            *slot = M::identity();
-        }
-        // SAFETY: same structural invariants as `pull_rows_into`; the column
-        // reads index `u * k + j < n_cols * k <= x.len()` (asserted above).
+    for (v, slots) in range.iter().zip(out.chunks_exact_mut(w)) {
+        let mut local = [M::identity(); K];
+        let acc: &mut [f64] = if K == 0 {
+            slots.fill(M::identity());
+            &mut *slots
+        } else {
+            &mut local
+        };
+        // SAFETY: `v + 1 <= range.end <= n_rows` and offsets are monotone
+        // ending at `targets.len()`; targets are `< n_cols`, so the column
+        // reads `u * w .. u * w + w <= n_cols * w <= x.len()` (asserted
+        // above).
         unsafe {
             let e = *offsets.get_unchecked(v as usize + 1) as usize;
             for &u in targets.get_unchecked(s..e) {
-                let base = u as usize * k;
-                for (j, slot) in slots.iter_mut().enumerate() {
-                    *slot = M::combine(*slot, *x.get_unchecked(base + j));
+                debug_assert!((u as usize + 1) * w <= x.len());
+                let xs = x.get_unchecked(u as usize * w..u as usize * w + w);
+                for (a, &xv) in acc.iter_mut().zip(xs) {
+                    *a = M::combine(*a, xv);
                 }
             }
             s = e;
+        }
+        if K != 0 {
+            slots.copy_from_slice(&local);
         }
     }
 }
@@ -157,16 +140,16 @@ pub fn spmv_pull_multi_with_parts<M: Monoid>(
     assert_eq!(x.len(), n * k);
     assert_eq!(y.len(), n * k);
     assert!(n * k <= u32::MAX as usize, "n * k must fit the u32 range arithmetic");
-    let _span = ihtl_trace::span("pull_spmm").with_arg(k as u64);
+    let _span = ihtl_trace::span(if k == 1 { "pull_spmv" } else { "pull_spmm" }).with_arg(k as u64);
     let ranges = edge_balanced_ranges(g.csc(), parts);
     let scaled: Vec<VertexRange> = ranges
         .iter()
         .map(|r| VertexRange { start: r.start * k as u32, end: r.end * k as u32 })
         .collect();
     let mut slices = split_by_ranges(y, &scaled);
-    ihtl_parallel::par_for_each_mut(&mut slices, 1, |i, out| {
-        pull_rows_into_multi::<M>(g.csc(), x, k, ranges[i], out);
-    });
+    crate::with_width!(k, |K| ihtl_parallel::par_for_each_mut(&mut slices, 1, |i, out| {
+        pull_rows_into::<M, K>(g.csc(), x, k, ranges[i], out);
+    }));
 }
 
 /// Cagra/GraphIt-style *horizontally blocked* CSC: sources are split into
@@ -392,7 +375,7 @@ mod tests {
     #[test]
     fn multi_pull_columns_match_solo_bitwise() {
         let g = paper_example_graph();
-        for k in [1usize, 3, 4, 8] {
+        for k in [1usize, 2, 3, 4, 5, 8, 9] {
             assert_multi_matches_solo_bitwise::<Add>(&g, k, 1);
             assert_multi_matches_solo_bitwise::<Min>(&g, k, 5);
         }

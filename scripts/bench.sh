@@ -14,7 +14,7 @@
 # --max-regress PCT fails the run if the iHTL SpMV ns/edge geomean is more
 # than PCT percent worse than the seed capture (the verify.sh perf gate).
 # --trace-ab additionally records tracing-enabled vs idle kernel cost.
-# --spmm additionally runs the batched SpMM A/B (K=1/4/8 columns per edge
+# --spmm additionally runs the batched SpMM A/B (K=1/2/4/8 columns per edge
 # sweep) and writes results/BENCH_spmm.json; combined with --max-regress it
 # also fails unless K=8 amortizes below K=1 on at least one dataset.
 # --engines runs the three-engine A/B matrix (pull/ihtl/pb plus the auto
